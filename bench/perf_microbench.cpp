@@ -600,6 +600,39 @@ void BM_PullKernelDaryHeap(benchmark::State& state) {
 BENCHMARK(BM_PullKernelDaryHeap)->Arg(10000)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
+// kStaticSpeedWeighted: the retained full deficit scan vs the
+// block-pruned kernel, on a prebuilt rate-sorted ScheduleState (copied per
+// iteration, a column memcpy) and task vector, so the timed region is the
+// dealing loop alone. Identical makespans are the bit-identity witness.
+void speed_weighted_kernel_bench(benchmark::State& state, bool blocked) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> tasks = pull_bench_tasks(n);
+  sim::ScheduleState base =
+      sim::ScheduleState::from_rates(pull_bench_rates(n));
+  base.ensure_ect_caches();
+  sim::DynamicScheduleTotals totals;
+  for (auto _ : state) {
+    sim::ScheduleState sched = base;
+    totals = blocked ? sim::speed_weighted_schedule_blocked(sched, tasks)
+                     : sim::speed_weighted_schedule_reference(sched, tasks);
+    benchmark::DoNotOptimize(totals);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["makespan_days"] = totals.makespan_days;
+}
+
+void BM_SpeedWeightedKernelReference(benchmark::State& state) {
+  speed_weighted_kernel_bench(state, /*blocked=*/false);
+}
+BENCHMARK(BM_SpeedWeightedKernelReference)->Arg(10000)->Arg(30000)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SpeedWeightedKernelBlocked(benchmark::State& state) {
+  speed_weighted_kernel_bench(state, /*blocked=*/true);
+}
+BENCHMARK(BM_SpeedWeightedKernelBlocked)->Arg(10000)->Arg(30000)
+    ->Unit(benchmark::kMillisecond);
+
 // The interval-walking kernels in isolation (prebuilt state + timeline,
 // no availability realization or task sampling in the timed region).
 // Mode 0/1/2 is the gate ablation the churn perf PR ships — the default

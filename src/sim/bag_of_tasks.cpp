@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <limits>
-#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -187,7 +185,8 @@ namespace {
 // The policy dispatch shared by every entry point: everything below only
 // needs a built ScheduleState (plus, for the churn family, the interval
 // timeline). `reference_dynamics` selects the retained scalar /
-// priority_queue / full-walk kernels for the dynamic policies.
+// priority_queue / full-walk kernels for the dynamic and speed-weighted
+// policies.
 // `cursor_seed`, when given, is a ChurnScheduler over an identically
 // fresh state whose cursor columns are copied instead of re-derived —
 // run_policy_sweep's per-population warm start.
@@ -288,41 +287,13 @@ BagOfTasksResult run_with_state(ScheduleState state,
     }
 
     case SchedulingPolicy::kStaticSpeedWeighted: {
-      // Deal tasks in rate-proportional quotas: host h receives the next
-      // task whenever its accumulated *work share* is furthest below its
-      // rate share. Equivalent to largest-remaining-quota dealing. The
-      // shares are loop-invariant, so the rates[h] / total_rate divide is
-      // hoisted into a precomputed column.
-      const double total_rate =
-          std::accumulate(state.rates.begin(), state.rates.end(), 0.0);
-      std::vector<double> share(host_count);
-      for (std::size_t h = 0; h < host_count; ++h) {
-        share[h] = state.rates[h] / total_rate;
-      }
-      std::vector<double> assigned_work(host_count, 0.0);
-      double total_cpu_days = 0.0;
-      double total_assigned = 0.0;
-      for (const double task : tasks) {
-        // Deficit in cost units: how far below its rate-proportional share
-        // of the work assigned so far this host currently is. Looking one
-        // task ahead keeps the first |H| picks spread across hosts.
-        std::size_t best = 0;
-        double best_deficit = -std::numeric_limits<double>::infinity();
-        const double next_total = total_assigned + task;
-        for (std::size_t h = 0; h < host_count; ++h) {
-          const double deficit = share[h] * next_total - assigned_work[h];
-          if (deficit > best_deficit) {
-            best_deficit = deficit;
-            best = h;
-          }
-        }
-        const double days = task * state.inv_rates[best];
-        state.busy_days[best] += days;
-        total_cpu_days += days;
-        assigned_work[best] += task;
-        total_assigned = next_total;
-      }
-      return finish(state.busy_days, total_cpu_days);
+      // Same routing as kDynamicPull: the scalar arm and the reference
+      // entry points run the retained full scan.
+      const DynamicScheduleTotals totals =
+          reference_dynamics || config.backend == backend::Backend::kScalar
+              ? speed_weighted_schedule_reference(state, tasks)
+              : speed_weighted_schedule_blocked(state, tasks);
+      return finish(state.busy_days, totals.total_cpu_days);
     }
 
     case SchedulingPolicy::kDynamicPull: {
@@ -559,9 +530,13 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
   // set, because both paths consume the identical realization), and the
   // copied caches/cursors hold exactly the values a fresh derivation
   // produces.
+  // The speed-weighted kernel deals over the same rate-sorted blocks.
   bool any_ect = any_churn;
   for (const SchedulingPolicy policy : config.policies) {
-    if (policy == SchedulingPolicy::kDynamicEct) any_ect = true;
+    if (policy == SchedulingPolicy::kDynamicEct ||
+        policy == SchedulingPolicy::kStaticSpeedWeighted) {
+      any_ect = true;
+    }
   }
   struct SharedState {
     ScheduleState state_flagged;  ///< rates derated iff model_availability

@@ -13,9 +13,10 @@
 // fraction (volunteer hosts are not always up).
 //
 // The policy hot loops run on the columnar ScheduleState of
-// sim/schedule_state.h (blocked+pruned MCT scan, flat 4-ary pull heap);
-// run_bag_of_tasks_reference keeps the scalar/priority_queue kernels as
-// the golden oracle, bit-identical to the fast path. run_policy_sweep
+// sim/schedule_state.h (blocked+pruned MCT scan, block-pruned
+// speed-weighted dealing, flat 4-ary pull heap);
+// run_bag_of_tasks_reference keeps the full-scan/priority_queue kernels
+// as the golden oracle, bit-identical to the fast path. run_policy_sweep
 // executes a whole policy x population x task-count grid in parallel with
 // per-cell deterministic seeding.
 //
@@ -83,10 +84,10 @@ struct BagOfTasksConfig {
   /// expression. CLI: `sweep --churn-levels=N`.
   std::size_t churn_lookahead_levels = 8;
 
-  /// Kernel-dispatch arm for the dynamic hot loops (src/backend/): kAuto
+  /// Kernel-dispatch arm for the policy hot loops (src/backend/): kAuto
   /// picks the widest SIMD level the CPU (and RESMODEL_SIMD) allows,
-  /// kScalar routes the dynamic policies onto the retained reference
-  /// kernels. Pure performance knob — every arm is bit-identical, so
+  /// kScalar routes the dynamic and speed-weighted policies onto the
+  /// retained reference kernels. Pure performance knob — every arm is bit-identical, so
   /// results never depend on it. CLI: `sweep --backend=...`.
   backend::Backend backend = backend::Backend::kAuto;
 
@@ -114,7 +115,11 @@ enum class SchedulingPolicy {
   /// Knowledge-free static striping: task i goes to host i mod H, decided
   /// up front with no speed information.
   kStaticRoundRobin,
-  /// Static allocation proportional to each host's (derated) speed.
+  /// Static allocation proportional to each host's (derated) speed: each
+  /// task, in arrival order, goes to the host with the largest deficit
+  /// share[h] * (dealt + task) - assigned[h], where share[h] is the host's
+  /// fraction of the total rate and assigned[h] the cost dealt to it so
+  /// far; ties go to the lowest host index.
   kStaticSpeedWeighted,
   /// Dynamic pull: an idle host takes the next task from the queue (list
   /// scheduling on the earliest-available host). Faithful to how BOINC
@@ -236,9 +241,9 @@ BagOfTasksResult run_bag_of_tasks(const HostResourcesSoA& hosts,
                                   const BagOfTasksConfig& config,
                                   SchedulingPolicy policy, util::Rng& rng);
 
-/// Same contract, but the dynamic policies run on the retained reference
-/// kernels (scalar ECT scan, std::priority_queue pull) instead of the
-/// blocked/d-ary ones. Bit-identical to run_bag_of_tasks — the golden
+/// Same contract, but the dynamic and speed-weighted policies run on the
+/// retained reference kernels (scalar ECT scan, std::priority_queue pull,
+/// full deficit scan) instead of the blocked/d-ary ones. Bit-identical to run_bag_of_tasks — the golden
 /// oracle for tests/sim/ and the baseline for bench/perf_microbench.
 BagOfTasksResult run_bag_of_tasks_reference(
     std::span<const HostResources> hosts, const BagOfTasksConfig& config,

@@ -1,11 +1,12 @@
 // Compiled with -ffp-contract=off (src/CMakeLists.txt): the blocked and
-// reference kernels must produce bit-identical completion times, which
-// rules out the compiler fusing free_at + task * inv_rate into an fma in
-// one loop but not the other.
+// reference kernels must produce bit-identical completion times and
+// deficits, which rules out the compiler fusing free_at + task * inv_rate
+// or share * x - assigned into an fma in one loop but not the other.
 #include "sim/schedule_state.h"
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 #include <utility>
@@ -169,6 +170,168 @@ DynamicScheduleTotals ect_schedule_reference(ScheduleState& state,
     totals.total_cpu_days += days;
     totals.makespan_days = std::max(totals.makespan_days, best_done);
   }
+  return totals;
+}
+
+namespace {
+
+// rates[h] / sum(rates) in host order: both speed-weighted kernels read
+// their shares through this one expression, so they agree bit for bit.
+std::vector<double> rate_shares(const ScheduleState& state) {
+  const double total_rate =
+      std::accumulate(state.rates.begin(), state.rates.end(), 0.0);
+  std::vector<double> share(state.size());
+  for (std::size_t h = 0; h < state.size(); ++h) {
+    share[h] = state.rates[h] / total_rate;
+  }
+  return share;
+}
+
+double max_busy_days(const ScheduleState& state) {
+  double makespan = 0.0;
+  for (const double b : state.busy_days) makespan = std::max(makespan, b);
+  return makespan;
+}
+
+struct DeficitMax {
+  double value = 0.0;
+  std::uint32_t index = 0;  ///< UINT32_MAX when value < best
+};
+
+// One block of the deficit scan: the block maximum of share * x - assigned
+// and, when it can still win or tie (>= best), the smallest original host
+// index attaining it. Two passes — a max-reduction over a block-local
+// buffer, then an integer-min over the lanes equal to it — so neither
+// pass carries an index through the floating-point reduction.
+DeficitMax deficit_block_max(const double* share, const double* assigned,
+                             const std::uint32_t* order, std::size_t len,
+                             double x, double best) {
+  double deficit[ScheduleState::kBlockSize];
+  double block_max = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < len; ++i) {
+    deficit[i] = share[i] * x - assigned[i];
+    block_max = std::max(block_max, deficit[i]);
+  }
+  if (block_max < best) {
+    return {block_max, std::numeric_limits<std::uint32_t>::max()};
+  }
+  std::uint32_t index = std::numeric_limits<std::uint32_t>::max();
+  for (std::size_t i = 0; i < len; ++i) {
+    if (deficit[i] == block_max) index = std::min(index, order[i]);
+  }
+  return {block_max, index};
+}
+
+}  // namespace
+
+DynamicScheduleTotals speed_weighted_schedule_blocked(
+    ScheduleState& state, std::span<const double> tasks) {
+  constexpr std::size_t kBlock = ScheduleState::kBlockSize;
+  DynamicScheduleTotals totals;
+  const std::size_t n = state.size();
+  if (n == 0) return totals;
+  state.ensure_ect_caches();
+  const std::size_t blocks = state.block_count();
+  const std::uint32_t* order = state.ect_order.data();
+
+  // Shares and dealt cost in sorted order, plus the two per-block bound
+  // ingredients: the maximum share (fixed for the run) and the minimum
+  // assigned cost (only the winner's block changes per task).
+  const std::vector<double> share = rate_shares(state);
+  std::vector<double> sshare(n);
+  for (std::size_t j = 0; j < n; ++j) sshare[j] = share[order[j]];
+  std::vector<double> sassigned(n, 0.0);
+  std::vector<double> bmax_share(blocks);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t lo = b * kBlock;
+    const std::size_t hi = std::min(n, lo + kBlock);
+    bmax_share[b] = *std::max_element(sshare.begin() + lo, sshare.begin() + hi);
+  }
+  std::vector<double> bmin_assigned(blocks, 0.0);
+
+  std::vector<double> bounds(blocks);  // per-task gate scratch
+  double total_assigned = 0.0;
+  for (const double task : tasks) {
+    const double x = total_assigned + task;
+    // Per-block upper bound on every deficit inside it: no host has a
+    // larger share than bmax_share[b] nor less dealt cost than
+    // bmin_assigned[b], and x >= 0, so share[h] * x <= bmax_share[b] * x
+    // and the subtraction keep the order after rounding. The block with
+    // the largest bound is swept first (warm start), so the incumbent is
+    // near-optimal before any other block is gated; processing order is
+    // result-neutral because pruning only skips hosts that can neither
+    // win nor tie.
+    std::size_t warm = 0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      bounds[b] = bmax_share[b] * x - bmin_assigned[b];
+      if (bounds[b] > bounds[warm]) warm = b;
+    }
+    std::uint32_t best = 0;  // original host index of the incumbent
+    double best_deficit = -std::numeric_limits<double>::infinity();
+    for (std::size_t bi = 0; bi <= blocks; ++bi) {
+      const std::size_t b = bi == 0 ? warm : bi - 1;
+      if (bi != 0 && (b == warm || bounds[b] < best_deficit)) continue;
+      const std::size_t lo = b * kBlock;
+      const DeficitMax r =
+          deficit_block_max(sshare.data() + lo, sassigned.data() + lo,
+                            order + lo, std::min(n - lo, kBlock), x,
+                            best_deficit);
+      if (r.value < best_deficit) continue;
+      if (r.value > best_deficit) {
+        best_deficit = r.value;
+        best = r.index;
+      } else {
+        best = std::min(best, r.index);
+      }
+    }
+    const double days = task * state.inv_rates[best];
+    state.busy_days[best] += days;
+    totals.total_cpu_days += days;
+    const std::size_t pos = state.ect_pos[best];
+    sassigned[pos] += task;
+    const std::size_t blk = pos / kBlock;
+    const std::size_t lo = blk * kBlock;
+    const std::size_t hi = std::min(n, lo + kBlock);
+    bmin_assigned[blk] =
+        *std::min_element(sassigned.begin() + lo, sassigned.begin() + hi);
+    total_assigned = x;
+  }
+  totals.makespan_days = max_busy_days(state);
+  return totals;
+}
+
+DynamicScheduleTotals speed_weighted_schedule_reference(
+    ScheduleState& state, std::span<const double> tasks) {
+  // Deal tasks in rate-proportional quotas: host h receives the next
+  // task whenever its accumulated *work share* is furthest below its
+  // rate share. Equivalent to largest-remaining-quota dealing.
+  const std::size_t n = state.size();
+  DynamicScheduleTotals totals;
+  if (n == 0) return totals;
+  const std::vector<double> share = rate_shares(state);
+  std::vector<double> assigned_work(n, 0.0);
+  double total_assigned = 0.0;
+  for (const double task : tasks) {
+    // Deficit in cost units: how far below its rate-proportional share
+    // of the work assigned so far this host currently is. Looking one
+    // task ahead keeps the first |H| picks spread across hosts.
+    std::size_t best = 0;
+    double best_deficit = -std::numeric_limits<double>::infinity();
+    const double next_total = total_assigned + task;
+    for (std::size_t h = 0; h < n; ++h) {
+      const double deficit = share[h] * next_total - assigned_work[h];
+      if (deficit > best_deficit) {
+        best_deficit = deficit;
+        best = h;
+      }
+    }
+    const double days = task * state.inv_rates[best];
+    state.busy_days[best] += days;
+    totals.total_cpu_days += days;
+    assigned_work[best] += task;
+    total_assigned = next_total;
+  }
+  totals.makespan_days = max_busy_days(state);
   return totals;
 }
 

@@ -18,6 +18,10 @@
 //  - pull_schedule_dary / pull_schedule_reference: kDynamicPull on a flat
 //    4-ary min-heap vs the std::priority_queue oracle; identical pop
 //    order because (free_at, host) keys are totally ordered.
+//  - speed_weighted_schedule_blocked / speed_weighted_schedule_reference:
+//    kStaticSpeedWeighted largest-deficit dealing over the same rate-sorted
+//    blocks, pruned by a per-block upper bound on the deficit, vs the
+//    full per-task scan it replaced.
 //
 // All kernels use task * inv_rates[h] for processing times (the reciprocal
 // column is computed once per run), so every implementation pair agrees
@@ -75,8 +79,8 @@ struct ScheduleState {
 
   /// Sorted position -> original host index (ascending inv_rates, ties by
   /// ascending host index). Built lazily by ensure_ect_caches() — only
-  /// the ECT kernel reads the sorted layout, so the other policies never
-  /// pay for the sort.
+  /// the ECT and speed-weighted kernels read the sorted layout, so the
+  /// other policies never pay for the sort.
   std::vector<std::uint32_t> ect_order;
   /// Original host index -> sorted position (inverse of ect_order).
   std::vector<std::uint32_t> ect_pos;
@@ -121,6 +125,32 @@ DynamicScheduleTotals ect_schedule_blocked(ScheduleState& state,
 /// bit-identical to ect_schedule_blocked.
 DynamicScheduleTotals ect_schedule_reference(ScheduleState& state,
                                              std::span<const double> tasks);
+
+/// Static speed-weighted dealing of `tasks` (non-negative costs in
+/// MIPS-days, in arrival order) over `state`: with share[h] = rates[h] / sum(rates) and
+/// assigned[h] the cost dealt to h so far, each task goes to the host with
+/// the largest deficit share[h] * (dealt + task) - assigned[h], lowest
+/// host index on exact ties. Adds task * inv_rates[h] to busy_days[h];
+/// free_at is not touched (a static schedule runs each host's quota back
+/// to back). Returns the busy days added (total_cpu_days) and
+/// makespan_days = the largest busy_days.
+/// Blocked kernel over the rate-sorted layout (ensure_ect_caches): per
+/// block it keeps the maximum share (fixed) and the minimum assigned cost
+/// (rescanned only in the winner's block), and skips a block outright when
+///   bmax_share[b] * (dealt + task) - bmin_assigned[b] < best_so_far,
+/// an upper bound on every deficit inside it (monotone rounding keeps it
+/// an upper bound in floating point too). The strict `<` means a block
+/// that could still tie the incumbent is always scanned, so the winner is
+/// the smallest original host index among all hosts achieving the
+/// maximum — exactly the reference loop's first-strict-improvement pick.
+DynamicScheduleTotals speed_weighted_schedule_blocked(
+    ScheduleState& state, std::span<const double> tasks);
+
+/// The retained full scan — every host's deficit for every task. Golden
+/// oracle and benchmark baseline; bit-identical to
+/// speed_weighted_schedule_blocked.
+DynamicScheduleTotals speed_weighted_schedule_reference(
+    ScheduleState& state, std::span<const double> tasks);
 
 /// Flat d-ary (d = 4) min-heap of (free_at, host) entries, ordered by key
 /// then host index — the total order makes any correct heap pop the same

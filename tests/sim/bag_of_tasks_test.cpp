@@ -209,10 +209,12 @@ void expect_results_identical(const BagOfTasksResult& a,
 }
 
 TEST(BagOfTasks, FastPathBitIdenticalToReference) {
-  // The blocked-MCT, 4-ary-heap and interval-walking kernels promise
-  // results bit-identical to the retained scalar / priority_queue /
-  // full-walk reference kernels — for every policy, with and without the
-  // availability overlay, on both entry points.
+  // The blocked-MCT, block-pruned speed-weighted, 4-ary-heap and
+  // interval-walking kernels promise results bit-identical to the
+  // retained scalar / full-scan / priority_queue / full-walk reference
+  // kernels — for every policy, with and without the availability
+  // overlay, on both entry points. 300 hosts = 4 full pruning blocks plus
+  // a 44-host tail.
   const std::vector<HostResources> hosts = model_hosts(300, 13);
   const HostResourcesSoA soa = HostResourcesSoA::from_hosts(hosts);
   BagOfTasksConfig config;

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <queue>
 #include <utility>
 #include <vector>
 
+#include "core/host_generator.h"
+#include "sim/bag_of_tasks.h"
 #include "util/rng.h"
 
 namespace resmodel::sim {
@@ -143,6 +147,142 @@ TEST(EctKernels, SingleHostAccumulatesSequentially) {
   EXPECT_EQ(state.free_at[0], totals.makespan_days);
   EXPECT_EQ(totals.total_cpu_days, totals.makespan_days);
   EXPECT_DOUBLE_EQ(totals.makespan_days, 2.0 + 1.0 + 4.0);
+}
+
+// Runs both speed-weighted kernels on fresh states and requires the same
+// schedule bit for bit: every host's busy_days and both totals.
+void expect_speed_weighted_identical(const std::vector<double>& rates,
+                                     const std::vector<double>& tasks) {
+  ScheduleState blocked = ScheduleState::from_rates(rates);
+  ScheduleState reference = ScheduleState::from_rates(rates);
+  const DynamicScheduleTotals tb =
+      speed_weighted_schedule_blocked(blocked, tasks);
+  const DynamicScheduleTotals tr =
+      speed_weighted_schedule_reference(reference, tasks);
+  EXPECT_EQ(tb.makespan_days, tr.makespan_days) << rates.size() << " hosts";
+  EXPECT_EQ(tb.total_cpu_days, tr.total_cpu_days) << rates.size() << " hosts";
+  expect_states_identical(blocked, reference);
+}
+
+TEST(SpeedWeightedKernels, BlockedMatchesReferenceBitForBit) {
+  // Host counts around the block size (one lane, one short of a block,
+  // exactly one, one over) plus partial-tail and many-block populations,
+  // each with fewer tasks than hosts and with many more.
+  for (const std::size_t hosts :
+       {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+        std::size_t{300}, std::size_t{10000}}) {
+    const std::vector<double> rates = random_rates(hosts, 17 + hosts);
+    expect_speed_weighted_identical(rates,
+                                    random_tasks(hosts / 2 + 1, 19 + hosts));
+    const std::size_t many = hosts >= 10000 ? 3 * hosts / 2 : 8 * hosts + 50;
+    expect_speed_weighted_identical(rates, random_tasks(many, 23 + hosts));
+  }
+}
+
+TEST(SpeedWeightedKernels, AllEqualRatesTieBreakToLowestIndex) {
+  // Every deficit ties on every task until a host has been dealt to, so
+  // only the index tie-break decides — across 5 blocks.
+  const std::vector<double> rates(300, 1000.0);
+  const std::vector<double> equal_tasks(3, 1000.0);
+  ScheduleState blocked = ScheduleState::from_rates(rates);
+  ScheduleState reference = ScheduleState::from_rates(rates);
+  speed_weighted_schedule_blocked(blocked, equal_tasks);
+  speed_weighted_schedule_reference(reference, equal_tasks);
+  for (const ScheduleState* s : {&blocked, &reference}) {
+    EXPECT_EQ(s->busy_days[0], 1.0);
+    EXPECT_EQ(s->busy_days[1], 1.0);
+    EXPECT_EQ(s->busy_days[2], 1.0);
+    EXPECT_EQ(s->busy_days[3], 0.0);
+  }
+  expect_states_identical(blocked, reference);
+  // Several full rounds of equal tasks, then random costs on equal rates.
+  expect_speed_weighted_identical(rates, std::vector<double>(1000, 250.0));
+  expect_speed_weighted_identical(rates, random_tasks(2000, 5));
+}
+
+TEST(SpeedWeightedKernels, DuplicateRateClustersStraddlingBlocks) {
+  // 200 hosts: 40 fast distinct rates, then a cluster of 50 equal rates
+  // that occupies sorted positions 40..89 and so straddles the block
+  // boundary at 64, then a second cluster of 60 straddling 128, then slow
+  // distinct rates. Cluster members sit at scattered original indices,
+  // so the sorted order and the host order disagree inside each cluster.
+  const std::size_t n = 200;
+  std::vector<double> rates(n);
+  util::Rng rng(29);
+  for (std::size_t i = 0; i < n; ++i) rates[i] = 100.0 + rng.uniform() * 50.0;
+  for (std::size_t i = 0; i < n; i += 5) {
+    rates[i] = 9000.0 + static_cast<double>(i);  // 40 fast, distinct
+  }
+  std::size_t first = 0, second = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (i % 5 == 0) continue;
+    if (first < 50 && i % 3 != 0) {
+      rates[i] = 5000.0;
+      ++first;
+    } else if (second < 60) {
+      rates[i] = 2500.0;
+      ++second;
+    }
+  }
+  ASSERT_EQ(first, 50u);
+  ASSERT_EQ(second, 60u);
+  expect_speed_weighted_identical(rates, random_tasks(37, 31));
+  expect_speed_weighted_identical(rates, random_tasks(3000, 37));
+  expect_speed_weighted_identical(rates, std::vector<double>(3000, 700.0));
+}
+
+TEST(SpeedWeightedKernels, CrossBlockTiesGoToLowestIndex) {
+  // Hosts 0..63 at rate 1 and hosts 64..127 at rate 3: the total is 256,
+  // so with integer task costs every share and deficit is an exact dyadic
+  // rational and fast/slow deficits tie exactly, again and again. The
+  // fast hosts fill sorted block 0 and the slow ones block 1, so each tie
+  // pits a block-0 incumbent against a lower-index host in a block whose
+  // bound equals the incumbent — the case the strict `<` gate must still
+  // scan. Mixed costs make the pick at a tie change the final schedule.
+  std::vector<double> rates(128, 1.0);
+  for (std::size_t h = 64; h < 128; ++h) rates[h] = 3.0;
+  util::Rng rng(2);
+  std::vector<double> tasks(1000);
+  for (double& t : tasks) t = 1.0 + std::floor(rng.uniform() * 4.0);
+  expect_speed_weighted_identical(rates, tasks);
+  expect_speed_weighted_identical(rates, std::vector<double>(1000, 1.0));
+  // The same ties inside one block (32 slow low-index hosts, 32 fast;
+  // total 128): the sorted order puts the fast hosts first, so the
+  // in-block resolve must take the lowest original index, not the first
+  // sorted lane.
+  std::vector<double> one_block(64, 1.0);
+  for (std::size_t h = 32; h < 64; ++h) one_block[h] = 3.0;
+  expect_speed_weighted_identical(one_block, tasks);
+}
+
+TEST(SpeedWeightedKernels, AvailabilityDeratedRates) {
+  // The rates the sweep actually deals over: model hosts derated by their
+  // sampled long-run ON fraction (many hosts sit on the 0.01 floor).
+  const core::HostGenerator generator(core::paper_params());
+  util::Rng host_rng(43);
+  const HostResourcesSoA hosts = HostResourcesSoA::from_batch(
+      generator.generate_batch(util::ModelDate::from_ymd(2010, 1, 1), 1000,
+                               host_rng));
+  BagOfTasksConfig config;
+  config.model_availability = true;
+  util::Rng rate_rng(47);
+  const std::vector<double> rates = compute_host_rates(hosts, config, rate_rng);
+  expect_speed_weighted_identical(rates, random_tasks(400, 53));
+  expect_speed_weighted_identical(rates, random_tasks(5000, 59));
+}
+
+TEST(SpeedWeightedKernels, DealsInRateProportion) {
+  // Two hosts at 3:1 rates and equal tasks: the faster host is dealt
+  // three of every four tasks, so both finish on the same day.
+  ScheduleState state = ScheduleState::from_rates({300.0, 100.0});
+  const std::vector<double> tasks(400, 100.0);
+  const DynamicScheduleTotals totals =
+      speed_weighted_schedule_blocked(state, tasks);
+  EXPECT_NEAR(state.busy_days[0], 100.0, 1e-9);
+  EXPECT_NEAR(state.busy_days[1], 100.0, 1e-9);
+  EXPECT_EQ(totals.makespan_days,
+            std::max(state.busy_days[0], state.busy_days[1]));
+  EXPECT_NEAR(totals.total_cpu_days, 200.0, 1e-9);
 }
 
 TEST(PullHeap, InitialSeedPopsHostsInOrder) {

@@ -307,6 +307,44 @@ TEST(Cli, SweepRejectsBadReplicationFlags) {
             kFailure);
 }
 
+TEST(Cli, DecimalFlagErrorsNameTheFlagAndValue) {
+  // Non-numeric and out-of-double-range values must come back as a usage
+  // error naming the flag and the offending text, not a bare "stod".
+  const std::string model_path = temp_path("cli_sweep_decimal_model.txt");
+  {
+    std::ofstream model_out(model_path);
+    model_out << core::paper_params().serialize();
+  }
+  const std::vector<std::string> base = {"sweep", model_path, "2010-06-01",
+                                         "100", "50"};
+  const struct {
+    std::string flag;
+    std::string expected;
+  } cases[] = {
+      {"--avail-coupling=abc", "bad --avail-coupling: 'abc'"},
+      {"--avail-coupling=1e400", "bad --avail-coupling: '1e400'"},
+      {"--deadline-days=1e400", "bad --deadline-days: '1e400'"},
+      {"--backoff=x", "bad --backoff: 'x'"},
+      {"--fault-mix=crash:x", "bad --fault-mix fraction: 'x'"},
+      {"--fault-mix=crash:-1e999", "bad --fault-mix fraction: '-1e999'"},
+  };
+  for (const auto& c : cases) {
+    std::vector<std::string> args = base;
+    args.push_back(c.flag);
+    std::string err;
+    EXPECT_EQ(run(args, nullptr, &err), kFailure) << c.flag;
+    EXPECT_NE(err.find(c.expected), std::string::npos) << c.flag << ": " << err;
+    EXPECT_EQ(err.find("stod"), std::string::npos) << c.flag << ": " << err;
+  }
+  std::string err;
+  EXPECT_EQ(run({"serve", "--clients=100", "--days=abc"}, nullptr, &err),
+            kFailure);
+  EXPECT_NE(err.find("bad --days: 'abc'"), std::string::npos) << err;
+  EXPECT_EQ(run({"serve", "--clients=100", "--days=1e400"}, nullptr, &err),
+            kFailure);
+  EXPECT_NE(err.find("bad --days: '1e400'"), std::string::npos) << err;
+}
+
 TEST(Cli, SynthRejectsBadArgs) {
   EXPECT_EQ(run({"synth"}), kUsage);
   EXPECT_EQ(run({"synth", temp_path("x.csv"), "notanumber"}), kFailure);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "backend/backend.h"
 #include "boinc/simulation.h"
@@ -499,24 +500,39 @@ std::vector<sim::SchedulingPolicy> parse_interruptions(
   return policies;
 }
 
-double parse_rho(const std::string& value) {
+/// The whole of `value` as a double, or nullopt when it is not one —
+/// non-numeric, trailing garbage, or out of double range (std::stod's
+/// own invalid_argument/out_of_range carry no flag name, only "stod").
+std::optional<double> parse_double(const std::string& value) {
   std::size_t pos = 0;
-  const double rho = std::stod(value, &pos);
-  if (pos != value.size() || !(rho >= -1.0 && rho <= 1.0)) {
+  double v = 0.0;
+  try {
+    v = std::stod(value, &pos);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  } catch (const std::out_of_range&) {
+    return std::nullopt;
+  }
+  if (pos != value.size()) return std::nullopt;
+  return v;
+}
+
+double parse_rho(const std::string& value) {
+  const std::optional<double> rho = parse_double(value);
+  if (!rho || !(*rho >= -1.0 && *rho <= 1.0)) {
     throw std::invalid_argument("bad --avail-coupling: '" + value +
                                 "' (expected rho in [-1, 1])");
   }
-  return rho;
+  return *rho;
 }
 
 double parse_positive_double(const std::string& value, const char* what) {
-  std::size_t pos = 0;
-  const double v = std::stod(value, &pos);
-  if (pos != value.size() || !(v > 0.0)) {
+  const std::optional<double> v = parse_double(value);
+  if (!v || !(*v > 0.0)) {
     throw std::invalid_argument(std::string("bad ") + what + ": '" + value +
                                 "' (expected a positive number)");
   }
-  return v;
+  return *v;
 }
 
 /// "k/n" -> quorum k of n replicas (e.g. --replication=2/3).
@@ -546,8 +562,8 @@ sim::FaultMixConfig parse_fault_mix(const std::string& spec) {
           "' (expected kind:fraction, kind in crash|straggler|corrupt)");
     }
     const std::string kind = token.substr(0, colon);
-    const double fraction =
-        parse_positive_double(token.substr(colon + 1), "fault fraction");
+    const double fraction = parse_positive_double(token.substr(colon + 1),
+                                                  "--fault-mix fraction");
     if (kind == "crash") {
       mix.crash_fraction = fraction;
     } else if (kind == "straggler") {
