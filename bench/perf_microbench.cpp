@@ -638,8 +638,11 @@ BENCHMARK(BM_SpeedWeightedKernelBlocked)->Arg(10000)->Arg(30000)
 // Mode 0/1/2 is the gate ablation the churn perf PR ships — the default
 // envelope gate with float32-packed columns, the envelope gate over
 // double columns, and the PR-4-style global bucket gate — mode 3 the
-// full-walk scalar oracle. All four produce bit-identical schedules; the
-// exported counters are deterministic kernel-shape telemetry
+// full-walk scalar oracle. All four produce bit-identical checkpoint
+// schedules. Mode 4 runs kAbandon on the default configuration: its
+// selection is the shared warm-started EctBlockIndex, so its
+// swept_blocks_per_task tracks that index's pruning. The exported
+// counters are deterministic kernel-shape telemetry
 // (tools/compare_bench.py diffs them machine-independently in CI).
 void BM_ChurnKernel(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -651,6 +654,7 @@ void BM_ChurnKernel(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(1));
   churn::ChurnSchedulerConfig config;
   bool reference = false;
+  churn::InterruptionPolicy policy = churn::InterruptionPolicy::kCheckpoint;
   switch (mode) {
     case 0:
       state.SetLabel("envelope-f32");
@@ -664,6 +668,10 @@ void BM_ChurnKernel(benchmark::State& state) {
       config.float32_columns = false;
       state.SetLabel("bucket-f64");
       break;
+    case 4:
+      policy = churn::InterruptionPolicy::kAbandon;
+      state.SetLabel("abandon");
+      break;
     default:
       reference = true;
       state.SetLabel("reference");
@@ -673,10 +681,8 @@ void BM_ChurnKernel(benchmark::State& state) {
   for (auto _ : state) {
     sim::ScheduleState sched = sim::ScheduleState::from_rates(rates);
     churn::ChurnScheduler scheduler(sched, timeline, config);
-    totals = reference
-                 ? scheduler.run_reference(
-                       tasks, churn::InterruptionPolicy::kCheckpoint)
-                 : scheduler.run(tasks, churn::InterruptionPolicy::kCheckpoint);
+    totals = reference ? scheduler.run_reference(tasks, policy)
+                       : scheduler.run(tasks, policy);
     benchmark::DoNotOptimize(totals);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -689,7 +695,7 @@ void BM_ChurnKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_ChurnKernel)
     ->Args({10000, 0})->Args({10000, 1})->Args({10000, 2})->Args({10000, 3})
-    ->Args({100000, 0})->Args({100000, 1})->Args({100000, 2})
+    ->Args({10000, 4})->Args({100000, 0})->Args({100000, 1})->Args({100000, 2})
     ->Unit(benchmark::kMillisecond);
 
 // --- Backend-arm pairs (src/backend/): blocked autovectorized kernels

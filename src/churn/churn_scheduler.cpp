@@ -272,32 +272,6 @@ void ChurnScheduler::commit(std::size_t host, double work,
   update_cursor(host);
 }
 
-void ChurnScheduler::rebuild_ready_gathers() {
-  state_.ensure_ect_caches();
-  constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
-  const std::size_t n = state_.size();
-  const std::size_t blocks = state_.block_count();
-  sready_.resize(n);
-  for (std::size_t j = 0; j < n; ++j) sready_[j] = ready_[state_.ect_order[j]];
-  bmin_ready_.resize(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * kBlock;
-    const std::size_t hi = std::min(n, lo + kBlock);
-    bmin_ready_[b] = ops_->column_min(sready_.data() + lo, hi - lo);
-  }
-}
-
-void ChurnScheduler::update_ready_gather(std::size_t host) {
-  constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
-  const std::size_t n = state_.size();
-  const std::size_t pos = state_.ect_pos[host];
-  sready_[pos] = ready_[host];
-  const std::size_t blk = pos / kBlock;
-  const std::size_t lo = blk * kBlock;
-  const std::size_t hi = std::min(n, lo + kBlock);
-  bmin_ready_[blk] = ops_->column_min(sready_.data() + lo, hi - lo);
-}
-
 void ChurnScheduler::rebuild_sorted_cursors() {
   const std::size_t n = state_.size();
   const std::size_t stride = 2 * config_.lookahead_levels;
@@ -484,49 +458,18 @@ ChurnScheduleTotals ChurnScheduler::run_ect(std::span<const double> tasks,
 }
 
 template <bool kBlocked>
-std::uint32_t ChurnScheduler::select_ready(double task) const {
-  const std::size_t n = state_.size();
-  constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
+std::uint32_t ChurnScheduler::select_ready(double task,
+                                           ChurnScheduleTotals& totals) {
   // Selection key = ready + task*inv, the exact optimistic completion
   // of a single attempt — no interval walk needed until the attempt is
   // resolved.
-  std::uint32_t best = 0;
-  double best_done = std::numeric_limits<double>::infinity();
-  {
-    if constexpr (!kBlocked) {
-      for (std::size_t h = 0; h < n; ++h) {
-        const double done = ready_[h] + task * state_.inv_rates[h];
-        if (done < best_done) {
-          best_done = done;
-          best = static_cast<std::uint32_t>(h);
-        }
-      }
-    } else {
-      const double* inv = state_.ect_sorted_inv.data();
-      const double* bmin_inv = state_.ect_block_min_inv.data();
-      const std::uint32_t* order = state_.ect_order.data();
-      const std::size_t blocks = state_.block_count();
-      // The block bound is monotone-sound without a margin: sready_i >=
-      // bmin_ready_b and fl(task*inv_i) >= fl(task*bmin_inv_b), and fl(+)
-      // is monotone, so the bound never exceeds any lane's key bitwise.
-      for (std::size_t b = 0; b < blocks; ++b) {
-        if (bmin_ready_[b] + task * bmin_inv[b] > best_done) continue;
-        const std::size_t lo = b * kBlock;
-        const std::size_t len = std::min(n - lo, kBlock);
-        const backend::EctBlockMin r = ops_->ect_block_sweep(
-            sready_.data() + lo, inv + lo, order + lo, len, task,
-            best_done);
-        if (r.value > best_done) continue;
-        if (r.value < best_done) {
-          best_done = r.value;
-          best = r.index;
-        } else {
-          best = std::min(best, r.index);
-        }
-      }
-    }
+  if constexpr (kBlocked) {
+    const std::uint64_t swept = ready_index_.swept_blocks();
+    const std::uint32_t best = ready_index_.select(task).index;
+    totals.swept_blocks += ready_index_.swept_blocks() - swept;
+    return best;
   }
-  return best;
+  return sim::ect_select_reference(ready_, state_.inv_rates, task).index;
 }
 
 template <bool kBlocked>
@@ -535,7 +478,10 @@ ChurnScheduleTotals ChurnScheduler::run_abandon(
   ChurnScheduleTotals totals;
   const std::size_t n = state_.size();
   if (n == 0) return totals;
-  if constexpr (kBlocked) rebuild_ready_gathers();
+  if constexpr (kBlocked) {
+    state_.ensure_ect_caches();
+    ready_index_.rebuild(state_, ready_, *ops_);
+  }
 
   // FIFO of task costs: interrupted tasks re-enter at the back, so every
   // queued task is attempted before any retry. Terminates because each
@@ -546,7 +492,7 @@ ChurnScheduleTotals ChurnScheduler::run_abandon(
     const double task = queue.front();
     queue.pop_front();
 
-    const std::uint32_t best = select_ready<kBlocked>(task);
+    const std::uint32_t best = select_ready<kBlocked>(task, totals);
     const double work = task * state_.inv_rates[best];
     const AttemptOutcome attempt =
         abandon_attempt(timeline_, best, ready_[best], work);
@@ -561,7 +507,7 @@ ChurnScheduleTotals ChurnScheduler::run_abandon(
       queue.push_back(task);
     }
     update_cursor(best);
-    if constexpr (kBlocked) update_ready_gather(best);
+    if constexpr (kBlocked) ready_index_.refresh(best, ready_[best]);
   }
   return totals;
 }
@@ -599,7 +545,7 @@ void ChurnScheduler::begin_stepping(std::span<const double> tasks,
   if (!step_blocked_) return;
   state_.ensure_ect_caches();
   if (policy == InterruptionPolicy::kAbandon) {
-    rebuild_ready_gathers();
+    ready_index_.rebuild(state_, ready_, *ops_);
   } else {
     gate_.reset(state_, cursor_view(), step_tasks_, policy);
     rebuild_sorted_cursors();
@@ -610,8 +556,9 @@ void ChurnScheduler::begin_stepping(std::span<const double> tasks,
 ChurnScheduler::StepOutcome ChurnScheduler::step(double task) {
   StepOutcome out;
   if (step_policy_ == InterruptionPolicy::kAbandon) {
-    const std::uint32_t best = step_blocked_ ? select_ready<true>(task)
-                                             : select_ready<false>(task);
+    const std::uint32_t best =
+        step_blocked_ ? select_ready<true>(task, step_totals_)
+                      : select_ready<false>(task, step_totals_);
     const double slowdown =
         step_slowdown_.empty() ? 1.0 : step_slowdown_[best];
     const double work = task * state_.inv_rates[best] * slowdown;
@@ -634,7 +581,7 @@ ChurnScheduler::StepOutcome ChurnScheduler::step(double task) {
       ++step_totals_.interruptions;
     }
     update_cursor(best);
-    if (step_blocked_) update_ready_gather(best);
+    if (step_blocked_) ready_index_.refresh(best, ready_[best]);
     return out;
   }
 
@@ -678,7 +625,7 @@ void ChurnScheduler::advance_time(double now) {
   }
   if (!step_blocked_) return;
   if (step_policy_ == InterruptionPolicy::kAbandon) {
-    rebuild_ready_gathers();
+    ready_index_.rebuild(state_, ready_, *ops_);
   } else {
     gate_.reset(state_, cursor_view(), step_tasks_, step_policy_);
     rebuild_sorted_cursors();

@@ -47,8 +47,10 @@
 // Survivor lanes are resolved through the EXACT double cursor
 // expressions (the same code path the scalar reference runs), which is
 // what keeps the blocked kernel bit-identical to the retained full-
-// evaluation oracle regardless of gate mode or column precision. This
-// file is compiled with -ffp-contract=off and -fno-trapping-math (see
+// evaluation oracle regardless of gate mode or column precision.
+// kAbandon's selection key is the optimistic `ready + task*inv` itself,
+// so it needs no gate: it runs on the shared sim::EctBlockIndex over the
+// ready-at column. This file is compiled with -ffp-contract=off and -fno-trapping-math (see
 // src/CMakeLists.txt).
 //
 // Beyond the timeline's horizon hosts count as permanently ON (see
@@ -255,9 +257,10 @@ class ChurnScheduler {
                            ChurnScheduleTotals& totals,
                            std::vector<double>& bounds);
   /// kAbandon's per-task selection (key = ready + task*inv), shared
-  /// verbatim between run_abandon and step().
+  /// verbatim between run_abandon and step(); the blocked arm counts its
+  /// swept blocks into `totals`.
   template <bool kBlocked>
-  std::uint32_t select_ready(double task) const;
+  std::uint32_t select_ready(double task, ChurnScheduleTotals& totals);
 
   template <bool kBlocked>
   ChurnScheduleTotals run_ect(std::span<const double> tasks,
@@ -275,10 +278,6 @@ class ChurnScheduler {
     return {ready_, sess_rem_, next_start_, accr_ready_, levels_,
             config_.lookahead_levels};
   }
-
-  /// (Re)builds kAbandon's sorted ready gather + per-block minima.
-  void rebuild_ready_gathers();
-  void update_ready_gather(std::size_t host);
 
   /// (Re)builds / maintains the ECT paths' sorted-layout RESOLUTION
   /// columns: exact double copies of the cursor columns in ect_order
@@ -316,8 +315,7 @@ class ChurnScheduler {
 
   // kAbandon's blocked path only needs the ready column in sorted layout
   // (its selection key is the optimistic ready + work even for spills).
-  std::vector<double> sready_;
-  std::vector<double> bmin_ready_;
+  sim::EctBlockIndex ready_index_;
 
   // ECT survivor-resolution columns (see rebuild_sorted_cursors).
   std::vector<double> sres_ready_;

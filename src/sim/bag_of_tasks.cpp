@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -35,7 +36,7 @@ bool is_churn_policy(SchedulingPolicy policy) noexcept {
 // guarantee.
 AvailabilityRealization realize_availability(std::span<const double> speed,
                                              const BagOfTasksConfig& config,
-                                             util::Rng& rng) {
+                                             util::Rng& rng, int threads) {
   if (!(config.availability_horizon_days > 0.0)) {
     throw std::invalid_argument(
         "realize_availability: non-positive availability horizon");
@@ -54,11 +55,11 @@ AvailabilityRealization realize_availability(std::span<const double> speed,
         churn::couple_availability_to_speed(
             speed, config.availability, config.availability_coupling, rng);
     timeline = churn::IntervalTimeline::generate(params, 0.0, horizon, rng,
-                                                 mode);
+                                                 mode, threads);
   } else {
     const synth::AvailabilityModel model(config.availability);
     timeline = churn::IntervalTimeline::generate(model, speed.size(), 0.0,
-                                                 horizon, rng, mode);
+                                                 horizon, rng, mode, threads);
   }
   real.fractions.resize(speed.size());
   for (std::size_t h = 0; h < speed.size(); ++h) {
@@ -529,7 +530,10 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
   // post-realization stream (the two coincide when model_availability is
   // set, because both paths consume the identical realization), and the
   // copied caches/cursors hold exactly the values a fresh derivation
-  // produces.
+  // produces. The realization itself reads the speed column only through
+  // the copula coupling, so an uncoupled population reuses the previous
+  // population's draw when both have the same size — the timeline, the
+  // fractions and the post-realization rng.
   // The speed-weighted kernel deals over the same rate-sorted blocks.
   bool any_ect = any_churn;
   for (const SchedulingPolicy policy : config.policies) {
@@ -547,25 +551,30 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
     std::optional<churn::ChurnScheduler> cursor_seed;  ///< over state_base
   };
   std::vector<SharedState> shared(populations.size());
+  std::optional<AvailabilityRealization> real;  ///< the latest draw
+  util::Rng avail_rng;                          ///< the stream right after it
   for (std::size_t p = 0; p < populations.size(); ++p) {
     SharedState& pop = shared[p];
     util::Rng rng(config.workload_seed);
     std::vector<double> base_rates = base_host_rates(populations[p].hosts);
     std::vector<double> flagged_rates;
     if (config.base.model_availability || any_churn || replicated) {
-      util::Rng avail_rng = rng;
-      const AvailabilityRealization real =
-          realize_availability(base_rates, config.base, avail_rng);
+      if (!real || config.base.availability_coupled ||
+          real->fractions.size() != base_rates.size()) {
+        avail_rng = rng;
+        real = realize_availability(base_rates, config.base, avail_rng,
+                                    config.threads);
+      }
       flagged_rates = base_rates;
       if (config.base.model_availability) {
         for (std::size_t h = 0; h < flagged_rates.size(); ++h) {
-          flagged_rates[h] *= std::max(0.01, real.fractions[h]);
+          flagged_rates[h] *= std::max(0.01, real->fractions[h]);
         }
         rng = avail_rng;
       }
       // Replicated kDynamicEct cells consult the timeline too (crash
       // model), not just the churn cells.
-      if (any_churn || replicated) pop.timeline = real.timeline;
+      if (any_churn || replicated) pop.timeline = real->timeline;
       pop.rng_after_avail = avail_rng;
     } else {
       flagged_rates = base_rates;
@@ -582,17 +591,29 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
     pop.state_flagged = ScheduleState::from_rates(std::move(flagged_rates));
     if (any_ect) pop.state_flagged.ensure_ect_caches();
   }
+  real.reset();  // a derate-only grid keeps no timeline alive for its cells
 
   // Independent, deterministically seeded cells claimed off an atomic
   // counter — the allocator's score-phase pattern. Any thread may run any
   // cell; none of them shares mutable state (the shared states and
   // cursor seeds are read-only after the loop above), so the grid is
-  // thread-count invariant.
-  std::atomic<std::size_t> next_cell{0};
+  // thread-count invariant. Churn cells are the longest, so they are
+  // claimed first and the grid's critical path starts at time zero;
+  // results stay indexed by cell, so the claim order is result-neutral.
+  std::vector<std::size_t> claim_order(cell_count);
+  std::iota(claim_order.begin(), claim_order.end(), std::size_t{0});
+  std::stable_partition(
+      claim_order.begin(), claim_order.end(), [&](std::size_t c) {
+        return is_churn_policy(
+            config.policies[(c / result.task_count_count) %
+                            result.policy_count]);
+      });
+  std::atomic<std::size_t> next_claim{0};
   const auto worker = [&] {
     for (;;) {
-      const std::size_t c = next_cell.fetch_add(1);
-      if (c >= cell_count) return;
+      const std::size_t k = next_claim.fetch_add(1);
+      if (k >= cell_count) return;
+      const std::size_t c = claim_order[k];
       PolicySweepCell& cell = result.cells[c];
       cell.task_count = c % result.task_count_count;
       cell.policy = (c / result.task_count_count) % result.policy_count;

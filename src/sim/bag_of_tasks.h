@@ -181,12 +181,14 @@ struct AvailabilityRealization {
 /// which also feeds the optional copula coupling). Rng consumption: one
 /// dimension-2 copula draw per host iff config.availability_coupled, then
 /// one fork per host in host order — a superset of the historical derate
-/// stream, identical to it when coupling is off. Throws
-/// std::invalid_argument on invalid availability/coupling parameters or a
-/// non-positive horizon.
+/// stream, identical to it when coupling is off. Uncoupled, the result
+/// depends on `speed` only through its size. `threads` fills the
+/// timeline (0 = hardware concurrency; the draw is identical for any
+/// count). Throws std::invalid_argument on invalid availability/coupling
+/// parameters or a non-positive horizon.
 AvailabilityRealization realize_availability(std::span<const double> speed,
                                              const BagOfTasksConfig& config,
-                                             util::Rng& rng);
+                                             util::Rng& rng, int threads = 0);
 
 /// The base speed column — max(1, cores x whetstone) per host, no
 /// availability treatment, no rng consumption. This is BOTH the rate
@@ -301,8 +303,12 @@ struct PolicySweepResult {
 /// worker pool (the same spawn-extra-jthreads pattern as the allocator's
 /// score phase; the calling thread is worker zero). Cells are independent
 /// and deterministically seeded, so the result is identical for any
-/// thread count. Throws std::invalid_argument on an empty grid axis, an
-/// empty population, or a degenerate base config.
+/// thread count. Unless availability_coupled is set, a population
+/// reuses the previous population's availability realization when both
+/// have the same size (uncoupled, the draw depends only on the host
+/// count and the seed). Churn cells, the longest, are claimed first;
+/// results stay indexed by cell. Throws std::invalid_argument on an
+/// empty grid axis, an empty population, or a degenerate base config.
 PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
                                    const PolicySweepConfig& config);
 

@@ -24,12 +24,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // ---------------------------------------------------------------------------
 // Stepped kDynamicEct selection: the classic free_at + task*inv minimum
 // (ect_schedule_blocked / _reference), one replica at a time. The blocked
-// arm keeps free_at gathered into ect_order layout plus per-block minima,
-// prunes with the monotone bmin_free + task*bmin_inv bound (sound without
-// a margin: both addends are per-block minima and fl(+) is monotone) and
-// sweeps survivors through the backend's ect_block_sweep — the identical
-// kernel shape churn's kAbandon selection uses, and bit-identical to the
-// scalar first-strict-improvement scan by the same argument.
+// arm is an EctBlockIndex over free_at (sim/schedule_state.h) — the same
+// warm-started index ect_schedule_blocked and churn's kAbandon selection
+// use, bit-identical to the scalar first-strict-improvement scan.
 class DerateEctStepper {
  public:
   DerateEctStepper(ScheduleState& state,
@@ -43,13 +40,15 @@ class DerateEctStepper {
         ops_(ops) {
     if (blocked_) {
       state_.ensure_ect_caches();
-      rebuild();
+      index_.rebuild(state_, state_.free_at, *ops_);
     }
   }
 
   churn::ChurnScheduler::StepOutcome step(double task) {
-    const std::uint32_t best = blocked_ ? select_blocked(task)
-                                        : select_reference(task);
+    const std::uint32_t best =
+        blocked_ ? index_.select(task).index
+                 : ect_select_reference(state_.free_at, state_.inv_rates, task)
+                       .index;
     const double slowdown = slowdown_.empty() ? 1.0 : slowdown_[best];
     const double start = state_.free_at[best];
     const double worked = task * state_.inv_rates[best] * slowdown;
@@ -76,7 +75,7 @@ class DerateEctStepper {
     state_.free_at[best] = completion;
     totals_.total_cpu_days += worked;
     totals_.makespan_days = std::max(totals_.makespan_days, completion);
-    if (blocked_) refresh(best);
+    if (blocked_) index_.refresh(best, completion);
     return out;
   }
 
@@ -85,7 +84,7 @@ class DerateEctStepper {
     for (std::size_t h = 0; h < n; ++h) {
       if (state_.free_at[h] < now) state_.free_at[h] = now;
     }
-    if (blocked_) rebuild();
+    if (blocked_) index_.rebuild(state_, state_.free_at, *ops_);
   }
 
   const churn::ChurnScheduleTotals& step_totals() const noexcept {
@@ -93,80 +92,12 @@ class DerateEctStepper {
   }
 
  private:
-  std::uint32_t select_reference(double task) const {
-    const std::size_t n = state_.size();
-    std::uint32_t best = 0;
-    double best_done = kInf;
-    for (std::size_t h = 0; h < n; ++h) {
-      const double done = state_.free_at[h] + task * state_.inv_rates[h];
-      if (done < best_done) {
-        best_done = done;
-        best = static_cast<std::uint32_t>(h);
-      }
-    }
-    return best;
-  }
-
-  std::uint32_t select_blocked(double task) const {
-    constexpr std::size_t kBlock = ScheduleState::kBlockSize;
-    const std::size_t n = state_.size();
-    const double* inv = state_.ect_sorted_inv.data();
-    const double* bmin_inv = state_.ect_block_min_inv.data();
-    const std::uint32_t* order = state_.ect_order.data();
-    const std::size_t blocks = state_.block_count();
-    std::uint32_t best = 0;
-    double best_done = kInf;
-    for (std::size_t b = 0; b < blocks; ++b) {
-      if (bmin_free_[b] + task * bmin_inv[b] > best_done) continue;
-      const std::size_t lo = b * kBlock;
-      const std::size_t len = std::min(n - lo, kBlock);
-      const backend::EctBlockMin r = ops_->ect_block_sweep(
-          sfree_.data() + lo, inv + lo, order + lo, len, task, best_done);
-      if (r.value > best_done) continue;
-      if (r.value < best_done) {
-        best_done = r.value;
-        best = r.index;
-      } else {
-        best = std::min(best, r.index);
-      }
-    }
-    return best;
-  }
-
-  void rebuild() {
-    constexpr std::size_t kBlock = ScheduleState::kBlockSize;
-    const std::size_t n = state_.size();
-    const std::size_t blocks = state_.block_count();
-    sfree_.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      sfree_[j] = state_.free_at[state_.ect_order[j]];
-    }
-    bmin_free_.resize(blocks);
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t lo = b * kBlock;
-      const std::size_t hi = std::min(n, lo + kBlock);
-      bmin_free_[b] = ops_->column_min(sfree_.data() + lo, hi - lo);
-    }
-  }
-
-  void refresh(std::size_t host) {
-    constexpr std::size_t kBlock = ScheduleState::kBlockSize;
-    const std::size_t n = state_.size();
-    const std::size_t pos = state_.ect_pos[host];
-    sfree_[pos] = state_.free_at[host];
-    const std::size_t blk = pos / kBlock;
-    const std::size_t lo = blk * kBlock;
-    const std::size_t hi = std::min(n, lo + kBlock);
-    bmin_free_[blk] = ops_->column_min(sfree_.data() + lo, hi - lo);
-  }
-
   ScheduleState& state_;
   const churn::IntervalTimeline& timeline_;
   std::vector<double> slowdown_;
   bool blocked_;
   const backend::KernelOps* ops_;
-  std::vector<double> sfree_;
-  std::vector<double> bmin_free_;
+  EctBlockIndex index_;
   churn::ChurnScheduleTotals totals_;
 };
 

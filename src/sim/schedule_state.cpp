@@ -64,6 +64,65 @@ void ScheduleState::ensure_ect_caches() {
   }
 }
 
+void EctBlockIndex::rebuild(const ScheduleState& state,
+                            std::span<const double> keys,
+                            const backend::KernelOps& ops) {
+  constexpr std::size_t kBlock = ScheduleState::kBlockSize;
+  state_ = &state;
+  ops_ = &ops;
+  const std::size_t n = state.size();
+  const std::size_t blocks = state.block_count();
+  keys_.resize(n);
+  for (std::size_t j = 0; j < n; ++j) keys_[j] = keys[state.ect_order[j]];
+  bmin_.resize(blocks);
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::size_t lo = b * kBlock;
+    bmin_[b] = ops.column_min(keys_.data() + lo, std::min(n - lo, kBlock));
+  }
+  bounds_.resize(blocks);
+}
+
+void EctBlockIndex::refresh(std::size_t host, double key) {
+  constexpr std::size_t kBlock = ScheduleState::kBlockSize;
+  const std::size_t pos = state_->ect_pos[host];
+  keys_[pos] = key;
+  const std::size_t lo = pos / kBlock * kBlock;
+  bmin_[pos / kBlock] =
+      ops_->column_min(keys_.data() + lo, std::min(keys_.size() - lo, kBlock));
+}
+
+backend::EctBlockMin EctBlockIndex::select(double task) {
+  constexpr std::size_t kBlock = ScheduleState::kBlockSize;
+  const std::size_t n = keys_.size();
+  const std::size_t blocks = bmin_.size();
+  const double* inv = state_->ect_sorted_inv.data();
+  const std::uint32_t* order = state_->ect_order.data();
+  // The whole bound row in one vectorizable pass; its minimum's block is
+  // swept first, so the incumbent is near-optimal before any other block
+  // is gated. Processing order is result-neutral because pruning only
+  // skips hosts that can neither win nor tie.
+  const std::uint32_t warm =
+      ops_->row_bounds_argmin(bmin_.data(), state_->ect_block_min_inv.data(),
+                              task, blocks, bounds_.data());
+  backend::EctBlockMin best{std::numeric_limits<double>::infinity(), 0};
+  for (std::size_t bi = 0; bi <= blocks; ++bi) {
+    const std::size_t b = bi == 0 ? warm : bi - 1;
+    if (bi != 0 && (b == warm || bounds_[b] > best.value)) continue;
+    ++swept_blocks_;
+    const std::size_t lo = b * kBlock;
+    const backend::EctBlockMin r =
+        ops_->ect_block_sweep(keys_.data() + lo, inv + lo, order + lo,
+                              std::min(n - lo, kBlock), task, best.value);
+    if (r.value > best.value) continue;
+    if (r.value < best.value) {
+      best = r;
+    } else {
+      best.index = std::min(best.index, r.index);
+    }
+  }
+  return best;
+}
+
 DynamicScheduleTotals ect_schedule_blocked(ScheduleState& state,
                                            std::span<const double> tasks) {
   // Backend dispatch (src/backend/README.md): kScalar routes onto the
@@ -74,101 +133,48 @@ DynamicScheduleTotals ect_schedule_blocked(ScheduleState& state,
   if (rb.arm == backend::Backend::kScalar) {
     return ect_schedule_reference(state, tasks);
   }
-  const backend::KernelOps& ops = backend::kernel_ops(rb.simd);
-
-  constexpr std::size_t kBlock = ScheduleState::kBlockSize;
-  state.ensure_ect_caches();
-  const std::size_t n = state.size();
-  const std::size_t blocks = state.block_count();
-  const double* inv = state.ect_sorted_inv.data();
-  const double* bmin_inv = state.ect_block_min_inv.data();
-  const std::uint32_t* order = state.ect_order.data();
   DynamicScheduleTotals totals;
-  if (n == 0) return totals;
-
-  // free_at gathered into sorted order once per run (kernel-local so a
-  // pre-advanced state works too), plus the per-block running minimum the
-  // pruning bound reads. Only the assigned host's block is refreshed per
-  // task.
-  std::vector<double> sfree(n);
-  for (std::size_t j = 0; j < n; ++j) sfree[j] = state.free_at[order[j]];
-  std::vector<double> bmin_free(blocks);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = b * kBlock;
-    const std::size_t hi = std::min(n, lo + kBlock);
-    bmin_free[b] = ops.column_min(sfree.data() + lo, hi - lo);
-  }
-
-  std::vector<double> bounds(blocks);  // per-task gate scratch
+  if (state.size() == 0) return totals;
+  state.ensure_ect_caches();
+  // free_at gathered once per run (kernel-local, so a pre-advanced state
+  // works too); only the assigned host's block is refreshed per task.
+  EctBlockIndex index;
+  index.rebuild(state, state.free_at, backend::kernel_ops(rb.simd));
   for (const double task : tasks) {
-    std::uint32_t best = 0;  // original host index of the incumbent
-    double best_done = std::numeric_limits<double>::infinity();
-    // Per-block lower bound on every completion time inside it: no host
-    // is freer than the block's min free_at nor faster than its min
-    // inv_rate, and monotone rounding keeps the combination a true
-    // floating-point lower bound. Computed for the whole row up front
-    // (one vectorizable pass) and compared with strict >, so a block
-    // that could still *tie* the incumbent is scanned and the smallest
-    // original host index among the tied winners is kept — the scalar
-    // loop's pick. The row minimum's block is swept first (warm start):
-    // the incumbent is near-optimal before any other block is gated,
-    // and processing order is result-neutral because pruning only skips
-    // hosts that cannot win or tie.
-    const std::uint32_t warm =
-        ops.row_bounds_argmin(bmin_free.data(), bmin_inv, task, blocks,
-                              bounds.data());
-    for (std::size_t bi = 0; bi <= blocks; ++bi) {
-      const std::size_t b = bi == 0 ? warm : bi - 1;
-      if (bi != 0 && (b == warm || bounds[b] > best_done)) continue;
-      const std::size_t lo = b * kBlock;
-      const std::size_t len = std::min(n - lo, kBlock);
-      const backend::EctBlockMin r = ops.ect_block_sweep(
-          sfree.data() + lo, inv + lo, order + lo, len, task, best_done);
-      if (r.value > best_done) continue;
-      if (r.value < best_done) {
-        best_done = r.value;
-        best = r.index;
-      } else {
-        best = std::min(best, r.index);
-      }
-    }
-    const double days = task * state.inv_rates[best];
-    state.busy_days[best] += days;
-    state.free_at[best] = best_done;
+    const backend::EctBlockMin best = index.select(task);
+    const double days = task * state.inv_rates[best.index];
+    state.busy_days[best.index] += days;
+    state.free_at[best.index] = best.value;
     totals.total_cpu_days += days;
-    totals.makespan_days = std::max(totals.makespan_days, best_done);
-    const std::size_t pos = state.ect_pos[best];
-    sfree[pos] = best_done;
-    const std::size_t blk = pos / kBlock;
-    const std::size_t lo = blk * kBlock;
-    const std::size_t hi = std::min(n, lo + kBlock);
-    bmin_free[blk] = ops.column_min(sfree.data() + lo, hi - lo);
+    totals.makespan_days = std::max(totals.makespan_days, best.value);
+    index.refresh(best.index, best.value);
   }
   return totals;
 }
 
+backend::EctBlockMin ect_select_reference(std::span<const double> keys,
+                                          std::span<const double> inv_rates,
+                                          double task) {
+  backend::EctBlockMin best{std::numeric_limits<double>::infinity(), 0};
+  for (std::size_t h = 0; h < keys.size(); ++h) {
+    const double done = keys[h] + task * inv_rates[h];
+    if (done < best.value) best = {done, static_cast<std::uint32_t>(h)};
+  }
+  return best;
+}
+
 DynamicScheduleTotals ect_schedule_reference(ScheduleState& state,
                                              std::span<const double> tasks) {
-  const std::size_t n = state.size();
-  const double* free_at = state.free_at.data();
-  const double* inv = state.inv_rates.data();
   DynamicScheduleTotals totals;
-  if (n == 0) return totals;
+  if (state.size() == 0) return totals;
   for (const double task : tasks) {
-    std::size_t best = 0;
-    double best_done = std::numeric_limits<double>::infinity();
-    for (std::size_t h = 0; h < n; ++h) {
-      const double done = free_at[h] + task * inv[h];
-      if (done < best_done) {
-        best_done = done;
-        best = h;
-      }
-    }
-    const double days = task * inv[best];
-    state.busy_days[best] += days;
-    state.free_at[best] = best_done;
+    const backend::EctBlockMin best =
+        ect_select_reference(state.free_at, state.inv_rates, task);
+    const double days = task * state.inv_rates[best.index];
+    state.busy_days[best.index] += days;
+    state.free_at[best.index] = best.value;
     totals.total_cpu_days += days;
-    totals.makespan_days = std::max(totals.makespan_days, best_done);
+    totals.makespan_days = std::max(totals.makespan_days, best.value);
   }
   return totals;
 }

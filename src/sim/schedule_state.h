@@ -8,11 +8,14 @@
 // policy hot loops are cache-friendly streaming sweeps instead of pointer
 // chases:
 //
+//  - EctBlockIndex: the warm-started, block-pruned minimum of
+//    key[h] + task * inv_rates[h] over the rate-sorted layout — one
+//    index behind every MCT-shaped selection in sim/ and churn/.
 //  - ect_schedule_blocked: the kDynamicEct (minimum-completion-time) scan
-//    as a blocked min-reduction over free_at[h] + task * inv_rates[h] —
-//    multiply instead of divide, block-local buffers the autovectorizer
-//    likes, and a per-block lower bound that skips whole blocks that
-//    cannot beat the current best completion time.
+//    on an EctBlockIndex over free_at — multiply instead of divide,
+//    block-local buffers the autovectorizer likes, and a per-block lower
+//    bound that skips whole blocks that cannot beat the current best
+//    completion time.
 //  - ect_schedule_reference: the retained scalar loop, bit-identical to
 //    the blocked kernel (the golden oracle for tests/sim/).
 //  - pull_schedule_dary / pull_schedule_reference: kDynamicPull on a flat
@@ -36,7 +39,7 @@
 #include <span>
 #include <vector>
 
-#include "backend/backend.h"
+#include "backend/kernels.h"
 
 namespace resmodel::sim {
 
@@ -104,21 +107,60 @@ struct ScheduleState {
   }
 };
 
+/// The pruning index behind every `key[h] + task * inv_rates[h]`
+/// minimum-completion selection: one key column gathered into the
+/// rate-sorted ect_order layout plus its per-block minima. Shared by
+/// ect_schedule_blocked (key = free_at), the replicated derate stepper
+/// (sim/replication.cpp, key = free_at) and churn's kAbandon selection
+/// (key = the ready-at cursor).
+class EctBlockIndex {
+ public:
+  /// Gathers `keys` (original host order, one per host) into sorted
+  /// layout and recomputes every block minimum. `state` must have its
+  /// ect_* caches built and outlive every later call.
+  void rebuild(const ScheduleState& state, std::span<const double> keys,
+               const backend::KernelOps& ops);
+
+  /// Sets `host`'s key and re-reduces its block's minimum.
+  void refresh(std::size_t host, double key);
+
+  /// The host minimizing key + task * inv_rate — the smallest original
+  /// host index among exact ties — and that minimum. The per-block bound
+  /// bmin_key + task * ect_block_min_inv is computed for the whole row
+  /// first; the tightest block is swept first (warm start), then every
+  /// block whose bound is not strictly greater than the incumbent. Both
+  /// addends are per-block minima and fl(+), fl(*) are monotone, so the
+  /// bound never exceeds a lane's key bitwise, the strict `>` keeps every
+  /// block that could still tie, and the pick equals the full scan's
+  /// first strict improvement. Requires a non-empty state.
+  backend::EctBlockMin select(double task);
+
+  /// Blocks whose columns select() has streamed since construction.
+  std::uint64_t swept_blocks() const noexcept { return swept_blocks_; }
+
+ private:
+  const ScheduleState* state_ = nullptr;
+  const backend::KernelOps* ops_ = nullptr;
+  std::vector<double> keys_;    ///< key column in sorted layout
+  std::vector<double> bmin_;    ///< per-block minimum of keys_
+  std::vector<double> bounds_;  ///< per-select bound row scratch
+  std::uint64_t swept_blocks_ = 0;
+};
+
 /// Minimum-completion-time scheduling of `tasks` (costs in MIPS-days, in
 /// arrival order) over `state`: each task goes to the host minimizing
 /// free_at[h] + task * inv_rates[h], lowest host index on exact ties.
-/// Blocked kernel over the rate-sorted layout: per block, the candidate
-/// completion times are materialized into a small buffer and min-reduced
-/// (auto-vectorizable); a block is skipped outright when
-///   block_min_free[b] + task * ect_block_min_inv[b] > best_so_far,
-/// a true lower bound on every completion time inside it (monotone
-/// rounding keeps it a lower bound in floating point too). The strict
-/// `>` means a block that could still tie the incumbent is always
-/// scanned, and the winner is the smallest *original* host index among
-/// all hosts achieving the global minimum — exactly the scalar loop's
-/// first-strict-improvement pick. Updates free_at / busy_days in place.
+/// Blocked kernel: one EctBlockIndex over free_at, refreshed at the
+/// winner after every assignment. Updates free_at / busy_days in place.
 DynamicScheduleTotals ect_schedule_blocked(ScheduleState& state,
                                            std::span<const double> tasks);
+
+/// The full scan EctBlockIndex::select equals: the first strict
+/// improvement of keys[h] + task * inv_rates[h] in host order. The
+/// reference arm of every selection built on the index.
+backend::EctBlockMin ect_select_reference(std::span<const double> keys,
+                                          std::span<const double> inv_rates,
+                                          double task);
 
 /// The retained scalar ECT loop — same formula, same tie-break, scans
 /// every host for every task. Golden oracle and benchmark baseline;

@@ -144,6 +144,23 @@ TEST(ChurnScheduler, BlockedBitIdenticalToReference) {
   }
 }
 
+TEST(ChurnScheduler, AbandonCountsSweptBlocksAndPrunes) {
+  // kAbandon's selection runs on the shared warm-started EctBlockIndex,
+  // so it reports the blocks it streamed: at least one per selection,
+  // and — heterogeneous rates letting the bound bite — far fewer than a
+  // sweep of every block per selection.
+  const std::size_t n = 2000;
+  const std::vector<double> tasks = random_tasks(n, 43);
+  const IntervalTimeline timeline = model_timeline(n, 42);
+  sim::ScheduleState state = state_from_rates(random_rates(n, 41));
+  ChurnScheduler scheduler(state, timeline);
+  const ChurnScheduleTotals totals =
+      scheduler.run(tasks, InterruptionPolicy::kAbandon);
+  const std::uint64_t selections = tasks.size() + totals.interruptions;
+  EXPECT_GE(totals.swept_blocks, selections);
+  EXPECT_LT(totals.swept_blocks, state.block_count() * selections / 4);
+}
+
 TEST(ChurnScheduler, GoldenDenseNearTies) {
   // Adversarial for the gates: rates within a relative 1e-9 of each
   // other and ONE shared timeline put hundreds of lanes inside every

@@ -384,6 +384,74 @@ TEST(PolicySweep, CellsMatchDirectRunsAndThreadCountIsIrrelevant) {
   }
 }
 
+// Runs `sweep` at 1 and 4 threads and checks every cell against its
+// standalone run_bag_of_tasks, replication outcome included.
+void expect_sweep_cells_match_standalone(
+    const std::vector<SweepPopulation>& populations, PolicySweepConfig sweep) {
+  for (const int threads : {1, 4}) {
+    sweep.threads = threads;
+    const PolicySweepResult grid = run_policy_sweep(populations, sweep);
+    for (std::size_t p = 0; p < populations.size(); ++p) {
+      for (std::size_t pol = 0; pol < sweep.policies.size(); ++pol) {
+        for (std::size_t t = 0; t < sweep.task_counts.size(); ++t) {
+          SCOPED_TRACE(testing::Message()
+                       << threads << " threads, population " << p
+                       << ", policy " << pol << ", task count " << t);
+          BagOfTasksConfig direct = sweep.base;
+          direct.task_count = sweep.task_counts[t];
+          util::Rng rng(sweep.workload_seed);
+          const BagOfTasksResult standalone = run_bag_of_tasks(
+              populations[p].hosts, direct, sweep.policies[pol], rng);
+          const BagOfTasksResult& cell = grid.at(p, pol, t).result;
+          expect_results_identical(cell, standalone);
+          EXPECT_EQ(cell.replication.tasks_validated,
+                    standalone.replication.tasks_validated);
+          EXPECT_EQ(cell.replication.replicas_issued,
+                    standalone.replication.replicas_issued);
+          EXPECT_EQ(cell.replication.reissues,
+                    standalone.replication.reissues);
+          EXPECT_EQ(cell.replication.wasted_replica_cpu_days,
+                    standalone.replication.wasted_replica_cpu_days);
+        }
+      }
+    }
+  }
+}
+
+TEST(PolicySweep, EqualSizeUncoupledPopulationsShareOneRealization) {
+  // Two equal-size populations with uncoupled availability: the sweep
+  // draws ONE realization and hands it to both (the draw reads only the
+  // host count and the seed). With coupling on, the draw ranks against
+  // each population's own speeds and must not be shared. Either way each
+  // cell — derate, churn and replicated — equals its standalone run.
+  std::vector<SweepPopulation> populations;
+  populations.push_back(
+      {"a", HostResourcesSoA::from_hosts(model_hosts(96, 33))});
+  populations.push_back(
+      {"b", HostResourcesSoA::from_hosts(model_hosts(96, 34))});
+  PolicySweepConfig sweep;
+  sweep.policies = {SchedulingPolicy::kDynamicEct,
+                    SchedulingPolicy::kChurnEctCheckpoint,
+                    SchedulingPolicy::kChurnEctAbandon};
+  sweep.task_counts = {150};
+  sweep.workload_seed = 818;
+  sweep.base.model_availability = true;
+  PolicySweepConfig replicated = sweep;
+  replicated.policies = {SchedulingPolicy::kDynamicEct};
+  replicated.base.replication.enabled = true;
+  replicated.base.replication.quorum = 2;
+  replicated.base.replication.replicas = 3;
+  replicated.base.fault_mix.crash_fraction = 0.1;
+  for (const bool coupled : {false, true}) {
+    SCOPED_TRACE(coupled ? "coupled" : "uncoupled");
+    for (PolicySweepConfig* config : {&sweep, &replicated}) {
+      config->base.availability_coupled = coupled;
+      config->base.availability_coupling.speed_rho = -0.4;
+      expect_sweep_cells_match_standalone(populations, *config);
+    }
+  }
+}
+
 TEST(PolicySweep, ChurnCellsMatchStandaloneWithoutDerateFlag) {
   // model_availability = false with churn policies present: churn cells
   // resume the rng from the post-realization state, derate-free cells

@@ -164,6 +164,76 @@ void expect_speed_weighted_identical(const std::vector<double>& rates,
   expect_states_identical(blocked, reference);
 }
 
+std::vector<const backend::KernelOps*> index_arms() {
+  return {&backend::kernel_ops(backend::SimdLevel::kNone),
+          &backend::kernel_ops(
+              backend::resolve(backend::Backend::kSimd).simd)};
+}
+
+// Host counts covering one partial block, exact blocks and partial tails.
+constexpr std::size_t kIndexSizes[] = {
+    1, ScheduleState::kBlockSize - 1, ScheduleState::kBlockSize,
+    ScheduleState::kBlockSize + 1, 3 * ScheduleState::kBlockSize + 5};
+
+TEST(EctBlockIndex, DenseTiesPickSmallestIndexLikeTheFullScan) {
+  // Equal rates and equal keys: every host ties, every block's bound ties
+  // the incumbent, so every block must be swept and the smallest original
+  // index must win. Committing each pick walks the winner through every
+  // block, and each select must still equal the full scan.
+  for (const backend::KernelOps* ops : index_arms()) {
+    for (const std::size_t n : kIndexSizes) {
+      ScheduleState state =
+          ScheduleState::from_rates(std::vector<double>(n, 1000.0));
+      state.ensure_ect_caches();
+      std::vector<double> keys(n, 2.5);
+      EctBlockIndex index;
+      index.rebuild(state, keys, *ops);
+      const backend::EctBlockMin first = index.select(4000.0);
+      EXPECT_EQ(first.index, 0u) << n << " hosts";
+      EXPECT_EQ(index.swept_blocks(), state.block_count()) << n << " hosts";
+      for (std::size_t k = 0; k < 2 * n; ++k) {
+        const backend::EctBlockMin got = index.select(4000.0);
+        const backend::EctBlockMin want =
+            ect_select_reference(keys, state.inv_rates, 4000.0);
+        ASSERT_EQ(got.index, want.index) << n << " hosts, pick " << k;
+        ASSERT_EQ(got.value, want.value) << n << " hosts, pick " << k;
+        keys[got.index] = got.value;
+        index.refresh(got.index, got.value);
+      }
+    }
+  }
+}
+
+TEST(EctBlockIndex, CrossBlockTieGoesToSmallestIndexNotWarmBlock) {
+  // The first s hosts are slow (inv 1, key 0.5), the rest fast (inv 0.5,
+  // key 1.0), with s chosen so the slow hosts fill exactly the last
+  // sorted block: every completion and every block bound is exactly 1.5,
+  // so the warm start begins at block 0 while the winner, host 0, sits
+  // in the LAST block. Strict `>` pruning must still reach it.
+  constexpr std::size_t kBlock = ScheduleState::kBlockSize;
+  for (const backend::KernelOps* ops : index_arms()) {
+    for (const std::size_t n : {kBlock + 1, 2 * kBlock, 3 * kBlock + 5}) {
+      const std::size_t slow = n % kBlock == 0 ? kBlock : n % kBlock;
+      std::vector<double> rates(n, 2.0);
+      std::vector<double> keys(n, 1.0);
+      for (std::size_t h = 0; h < slow; ++h) {
+        rates[h] = 1.0;
+        keys[h] = 0.5;
+      }
+      ScheduleState state = ScheduleState::from_rates(rates);
+      state.ensure_ect_caches();
+      ASSERT_EQ(state.ect_order[n - slow], 0u);
+      EctBlockIndex index;
+      index.rebuild(state, keys, *ops);
+      const backend::EctBlockMin got = index.select(1.0);
+      EXPECT_EQ(got.index, 0u) << n << " hosts";
+      EXPECT_EQ(got.value, 1.5) << n << " hosts";
+      EXPECT_EQ(got.index,
+                ect_select_reference(keys, state.inv_rates, 1.0).index);
+    }
+  }
+}
+
 TEST(SpeedWeightedKernels, BlockedMatchesReferenceBitForBit) {
   // Host counts around the block size (one lane, one short of a block,
   // exactly one, one over) plus partial-tail and many-block populations,

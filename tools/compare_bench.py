@@ -12,12 +12,14 @@ and skipped, never fatal; only the file finally chosen (or an
 explicitly named one) must parse. Tombstoned ``*.corrupt`` files are
 ignored entirely.
 
-Compares every benchmark present in BOTH files. By default the compared
-metrics are real_time plus every numeric per-benchmark counter the two
-entries share; --counters restricts the comparison to the named metrics
-only. A metric has REGRESSED when new > old * (1 + threshold) — all the
-exported metrics (times, swept blocks, resolved lanes, makespans) are
-higher-is-worse. Exit status: 0 clean, 1 regressions found, 2 usage /
+Compares every benchmark present in BOTH files; one only in NEW that
+exports a compared metric (a new arm with no recorded baseline yet) is
+warned about and skipped until a BENCH record holds it. By default the
+compared metrics are real_time plus every numeric per-benchmark counter
+the two entries share; --counters restricts the comparison to the named
+metrics only. A metric has REGRESSED when new > old * (1 + threshold) —
+all the exported metrics (times, swept blocks, resolved lanes,
+makespans) are higher-is-worse. Exit status: 0 clean, 1 regressions found, 2 usage /
 input error.
 
 CI note: wall times are only comparable on the same box. The Release CI
@@ -201,6 +203,11 @@ def main():
     for name in missing:
         print(f"warning: '{name}' missing from {args.new}; skipped",
               file=sys.stderr)
+    for name in sorted(set(new_table) - set(old_table)):
+        new_metrics = numeric_metrics(new_table[name])
+        if named is None or any(metric in new_metrics for metric in named):
+            print(f"warning: '{name}' has no baseline record; skipped",
+                  file=sys.stderr)
     if missing and args.require_all:
         fail(f"{len(missing)} baseline benchmark(s) missing "
              "and --require-all set")
