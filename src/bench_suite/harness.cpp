@@ -1,29 +1,21 @@
 #include "bench_suite/harness.h"
 
 #include <algorithm>
-#include <thread>
 #include <vector>
+
+#include "util/parallel_for.h"
 
 namespace resmodel::bench_suite {
 
 MultiCoreScore run_on_all_cores(
     const std::function<BenchmarkScore(double)>& benchmark, double seconds,
     int threads) {
-  int n = threads;
-  if (n <= 0) {
-    n = static_cast<int>(std::thread::hardware_concurrency());
-    if (n <= 0) n = 1;
-  }
+  const int n = util::worker_count(threads);
   std::vector<BenchmarkScore> scores(static_cast<std::size_t>(n));
-  {
-    std::vector<std::jthread> workers;
-    workers.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      workers.emplace_back([&benchmark, &scores, i, seconds] {
-        scores[static_cast<std::size_t>(i)] = benchmark(seconds);
-      });
-    }
-  }  // joins
+  // One job per worker, so all n benchmarks run at once.
+  util::parallel_for(scores.size(), n, [&](std::size_t i) {
+    scores[i] = benchmark(seconds);
+  });
 
   MultiCoreScore result;
   result.threads = n;

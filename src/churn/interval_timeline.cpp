@@ -1,63 +1,20 @@
 #include "churn/interval_timeline.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
+
+#include "util/parallel_for.h"
 
 namespace resmodel::churn {
 
 namespace {
-
-// Fills per_host[i] for i in chunk-claimed ranges. Each host's stream was
-// forked up front in host order, so any thread may fill any host.
-void fill_hosts(std::vector<std::vector<synth::AvailabilityInterval>>& per_host,
-                std::span<const synth::AvailabilityParams> params,
-                bool shared_params, double start_day, double end_day,
-                std::vector<util::Rng>& host_rngs, synth::StartMode mode,
-                int threads) {
-  const std::size_t n = per_host.size();
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  // Interval sampling is ~a hundred distribution draws per host; chunks of
-  // 256 keep claim traffic negligible without starving the pool.
-  constexpr std::size_t kChunk = 256;
-  const std::size_t chunk_count = (n + kChunk - 1) / kChunk;
-  std::atomic<std::size_t> next_chunk{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t chunk = next_chunk.fetch_add(1);
-      if (chunk >= chunk_count) return;
-      const std::size_t begin = chunk * kChunk;
-      const std::size_t end = std::min(n, begin + kChunk);
-      for (std::size_t i = begin; i < end; ++i) {
-        const synth::AvailabilityModel model(
-            shared_params ? params[0] : params[i]);
-        per_host[i] = model.generate(start_day, end_day, host_rngs[i], mode);
-      }
-    }
-  };
-  const std::size_t n_workers =
-      std::min<std::size_t>(static_cast<std::size_t>(threads),
-                            std::max<std::size_t>(chunk_count, 1));
-  if (n_workers <= 1) {
-    worker();
-  } else {
-    // The calling thread is worker zero; only the extras are spawned.
-    std::vector<std::jthread> pool;
-    pool.reserve(n_workers - 1);
-    for (std::size_t i = 1; i < n_workers; ++i) pool.emplace_back(worker);
-    worker();
-  }
-}
 
 IntervalTimeline generate_impl(std::span<const synth::AvailabilityParams> params,
                                bool shared_params, std::size_t host_count,
                                double start_day, double end_day, util::Rng& rng,
                                synth::StartMode mode, int threads) {
   // Validate up front (one model per distinct param set is built again in
-  // the fill loop, but a throw must happen here on the calling thread).
+  // the fill loop), so bad params fail before any stream is forked or any
+  // host is filled.
   if (shared_params) {
     params[0].validate();
   } else {
@@ -69,9 +26,21 @@ IntervalTimeline generate_impl(std::span<const synth::AvailabilityParams> params
   host_rngs.reserve(host_count);
   for (std::size_t i = 0; i < host_count; ++i) host_rngs.push_back(rng.fork());
 
+  // Interval sampling is ~a hundred distribution draws per host; chunks of
+  // 256 keep claim traffic negligible without starving the pool. Each
+  // host's stream was forked above, so any thread may fill any host.
   std::vector<std::vector<synth::AvailabilityInterval>> per_host(host_count);
-  fill_hosts(per_host, params, shared_params, start_day, end_day, host_rngs,
-             mode, threads);
+  constexpr std::size_t kChunk = 256;
+  util::parallel_for(
+      (host_count + kChunk - 1) / kChunk, threads, [&](std::size_t chunk) {
+        const std::size_t begin = chunk * kChunk;
+        const std::size_t end = std::min(host_count, begin + kChunk);
+        for (std::size_t i = begin; i < end; ++i) {
+          const synth::AvailabilityModel model(
+              shared_params ? params[0] : params[i]);
+          per_host[i] = model.generate(start_day, end_day, host_rngs[i], mode);
+        }
+      });
   return IntervalTimeline::from_intervals(per_host, start_day, end_day);
 }
 

@@ -1,14 +1,13 @@
 #include "core/host_generator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 #include "model/cholesky_gaussian.h"
 #include "stats/distributions.h"
 #include "stats/special_functions.h"
+#include "util/parallel_for.h"
 
 namespace resmodel::core {
 
@@ -163,38 +162,18 @@ GeneratedHostBatch HostGenerator::generate_batch(util::ModelDate date,
 GeneratedHostBatch HostGenerator::generate_batch_parallel(
     util::ModelDate date, std::size_t count, std::uint64_t seed,
     int threads) const {
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
   GeneratedHostBatch batch;
   batch.resize(count);
   const DateContext ctx = date_context(date);
   const std::size_t chunk_count = (count + kChunk - 1) / kChunk;
-  std::atomic<std::size_t> next_chunk{0};
-
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t chunk = next_chunk.fetch_add(1);
-      if (chunk >= chunk_count) return;
-      // Chunk-local stream: depends only on (seed, chunk index), so the
-      // result is independent of which thread runs which chunk.
-      util::Rng rng(chunk_seed(seed, chunk));
-      const std::size_t begin = chunk * kChunk;
-      const std::size_t end = std::min(count, begin + kChunk);
-      fill_range(batch, begin, end, ctx, rng);
-    }
-  };
-
-  if (threads == 1 || chunk_count <= 1) {
-    worker();
-  } else {
-    std::vector<std::jthread> pool;
-    const int n = std::min<std::size_t>(static_cast<std::size_t>(threads),
-                                        chunk_count);
-    pool.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) pool.emplace_back(worker);
-  }
+  util::parallel_for(chunk_count, threads, [&](std::size_t chunk) {
+    // Chunk-local stream: depends only on (seed, chunk index), so the
+    // result is independent of which thread runs which chunk.
+    util::Rng rng(chunk_seed(seed, chunk));
+    const std::size_t begin = chunk * kChunk;
+    const std::size_t end = std::min(count, begin + kChunk);
+    fill_range(batch, begin, end, ctx, rng);
+  });
   return batch;
 }
 

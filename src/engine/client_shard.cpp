@@ -202,7 +202,7 @@ void ClientShard::serialize_state(std::vector<std::byte>& out) const {
   // contents, so build() from the flagged clients reproduces the exact
   // drain sequence.
   std::vector<std::uint8_t> in_heap(n, 0);
-  for (const Event& ev : heap_.events()) in_heap[ev.client] = 1;
+  for (const Event& ev : heap_.items()) in_heap[ev.client] = 1;
   w.put_vector(in_heap);
 
   w.put_f64(prev_event_.day);

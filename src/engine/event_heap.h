@@ -2,19 +2,17 @@
 // scheduled scheduler-contact per client, drained in deterministic
 // virtual-time order.
 //
-// Same flat 4-ary layout as sim::PullHeap (one cache line of children,
-// half the depth of a binary heap), but with the engine's stricter
-// ordering contract: ties in virtual time break on the client index, so
-// the pop sequence is a TOTAL order — independent of insertion history,
-// which is what makes a shard's drain order (and therefore its day-record
-// stream) a pure function of the client population. A client has at most
+// A util::DaryHeap under the engine's ordering contract: ties in virtual
+// time break on the client index, so the pop sequence is a TOTAL order —
+// independent of insertion history, which is what makes a shard's drain
+// order (and therefore its day-record stream) a pure function of the
+// client population. A client has at most
 // one scheduled contact, so two live events can never compare equal.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <utility>
-#include <vector>
+
+#include "util/dary_heap.h"
 
 namespace resmodel::engine {
 
@@ -31,89 +29,17 @@ inline bool fires_before(const Event& a, const Event& b) noexcept {
   return a.day < b.day || (a.day == b.day && a.client < b.client);
 }
 
-/// Flat 4-ary min-heap of Events under fires_before.
-class EventHeap {
- public:
-  EventHeap() = default;
-
-  std::size_t size() const noexcept { return events_.size(); }
-  bool empty() const noexcept { return events_.empty(); }
-  void reserve(std::size_t n) { events_.reserve(n); }
-  void clear() noexcept { events_.clear(); }
-
-  /// The next event to fire. Call only while !empty().
-  const Event& min() const noexcept { return events_.front(); }
-
-  /// The live events in heap (NOT fire) order. The pop sequence is a
-  /// total order over the contents, so a heap rebuilt via build() from
-  /// these events — in any order — drains identically; this is what lets
-  /// a checkpoint store one membership bit per client instead of the
-  /// heap's internal layout.
-  std::span<const Event> events() const noexcept { return events_; }
-
-  void push(Event e) {
-    events_.push_back(e);
-    sift_up(events_.size() - 1);
+/// fires_before as a heap comparator.
+struct FiresBefore {
+  bool operator()(const Event& a, const Event& b) const noexcept {
+    return fires_before(a, b);
   }
-
-  Event pop_min() noexcept {
-    const Event top = events_.front();
-    events_.front() = events_.back();
-    events_.pop_back();
-    if (!events_.empty()) sift_down(0);
-    return top;
-  }
-
-  /// pop_min + push fused into one sift-down from the root — the common
-  /// drain step (the popped client re-enters with its next contact).
-  void replace_min(Event e) noexcept {
-    events_.front() = e;
-    sift_down(0);
-  }
-
-  /// Replaces the contents with `events` and heapifies (Floyd, O(n)) —
-  /// how a shard seeds the heap with its clients' birth contacts.
-  void build(std::vector<Event> events) noexcept {
-    events_ = std::move(events);
-    if (events_.size() < 2) return;
-    for (std::size_t i = (events_.size() - 2) / kArity + 1; i-- > 0;) {
-      sift_down(i);
-    }
-  }
-
- private:
-  static constexpr std::size_t kArity = 4;
-
-  void sift_up(std::size_t i) noexcept {
-    const Event e = events_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / kArity;
-      if (!fires_before(e, events_[parent])) break;
-      events_[i] = events_[parent];
-      i = parent;
-    }
-    events_[i] = e;
-  }
-
-  void sift_down(std::size_t i) noexcept {
-    const Event e = events_[i];
-    const std::size_t n = events_.size();
-    for (;;) {
-      const std::size_t first = i * kArity + 1;
-      if (first >= n) break;
-      const std::size_t last = std::min(first + kArity, n);
-      std::size_t best = first;
-      for (std::size_t c = first + 1; c < last; ++c) {
-        if (fires_before(events_[c], events_[best])) best = c;
-      }
-      if (!fires_before(events_[best], e)) break;
-      events_[i] = events_[best];
-      i = best;
-    }
-    events_[i] = e;
-  }
-
-  std::vector<Event> events_;
 };
+
+/// The drain queue. Its pop sequence is a total order over the contents,
+/// so a heap rebuilt via build() from its items() — in any order — drains
+/// identically; this is what lets a checkpoint store one membership bit
+/// per client instead of the heap's internal layout.
+using EventHeap = util::DaryHeap<Event, FiresBefore>;
 
 }  // namespace resmodel::engine

@@ -1,66 +1,22 @@
 #include "engine/service_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <exception>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/host_generator.h"
 #include "engine/checkpoint.h"
 #include "synth/population.h"
+#include "util/parallel_for.h"
 
 namespace resmodel::engine {
 
 namespace {
-
-int resolve_workers(int threads, std::size_t jobs) {
-  int n = threads > 0 ? threads
-                      : static_cast<int>(std::thread::hardware_concurrency());
-  if (n < 1) n = 1;
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(n), std::max<std::size_t>(jobs, 1)));
-}
-
-/// Runs fn(job) over jobs [0, count) on a pool of `threads` workers
-/// (calling thread included). Any worker exception is rethrown on the
-/// calling thread after the pool joins.
-template <typename Fn>
-void parallel_for(std::size_t count, int threads, Fn&& fn) {
-  if (count == 0) return;
-  const int n_workers = resolve_workers(threads, count);
-  if (n_workers == 1) {
-    for (std::size_t job = 0; job < count; ++job) fn(job);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(n_workers));
-  const auto worker = [&](int w) noexcept {
-    try {
-      for (std::size_t job; (job = next.fetch_add(1)) < count;) fn(job);
-    } catch (...) {
-      errors[static_cast<std::size_t>(w)] = std::current_exception();
-      // Starve the remaining workers so the pool winds down promptly.
-      next.store(count);
-    }
-  };
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(n_workers - 1));
-    for (int w = 1; w < n_workers; ++w) pool.emplace_back(worker, w);
-    worker(0);
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
 
 /// Cohort mode: a fixed-size population at one hardware date, every
 /// client born on day 0 and alive through the horizon. The master stream
@@ -88,7 +44,7 @@ std::vector<boinc::ArrivedClient> build_cohort(const EngineConfig& config) {
   std::vector<boinc::ArrivedClient> clients(n);
   constexpr std::uint64_t kChunk = 4096;
   const std::uint64_t chunks = (n + kChunk - 1) / kChunk;
-  parallel_for(chunks, config.threads, [&](std::size_t chunk) {
+  util::parallel_for(chunks, config.threads, [&](std::size_t chunk) {
     const std::uint64_t begin = chunk * kChunk;
     const std::uint64_t end = std::min(begin + kChunk, n);
     for (std::uint64_t i = begin; i < end; ++i) {
@@ -222,7 +178,7 @@ EngineResult run_service_engine(const EngineConfig& config) {
   if (!day_stepped) {
     // Fast path: no cross-shard coupling, each shard drains its whole
     // horizon independently.
-    parallel_for(shards.size(), config.threads, [&](std::size_t s) {
+    util::parallel_for(shards.size(), config.threads, [&](std::size_t s) {
       shards[s].drain(std::numeric_limits<double>::infinity());
     });
   } else {
@@ -230,7 +186,7 @@ EngineResult run_service_engine(const EngineConfig& config) {
         static_cast<std::int32_t>(std::floor(meta.params.limit_day));
     std::uint64_t epoch = 0;  // checkpoint writes attempted this process
     for (std::int32_t day = meta.resume_day; day <= last_day; ++day) {
-      parallel_for(shards.size(), config.threads, [&](std::size_t s) {
+      util::parallel_for(shards.size(), config.threads, [&](std::size_t s) {
         shards[s].drain(static_cast<double>(day) + 1.0);
       });
       if (coordinator) {
@@ -278,7 +234,7 @@ EngineResult run_service_engine(const EngineConfig& config) {
     }
     if (!result.halted) {
       // Discard events scheduled past the window so every heap is empty.
-      parallel_for(shards.size(), config.threads, [&](std::size_t s) {
+      util::parallel_for(shards.size(), config.threads, [&](std::size_t s) {
         shards[s].drain(std::numeric_limits<double>::infinity());
       });
       if (coordinator) result.quorum = coordinator->finish();

@@ -1,15 +1,14 @@
 #include "sim/allocator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 
 #include "backend/kernels.h"
+#include "util/parallel_for.h"
 
 namespace resmodel::sim {
 
@@ -59,12 +58,8 @@ constexpr std::size_t kRadixCutoff = 4096;
 /// ascending index). Large inputs take a stable LSD radix sort over the
 /// two 16-bit digits of the key half — the low (index) half never needs
 /// a pass because entries enter in ascending host index and stable
-/// scatters keep them that way. `hist` and `scratch` are caller-owned so
-/// one worker reuses them across apps.
-void sort_preferences(std::vector<std::uint64_t>& pref,
-                      std::vector<std::uint64_t>& scratch,
-                      std::vector<std::uint32_t>& hist,
-                      const double* scores) {
+/// scatters keep them that way.
+void sort_preferences(std::vector<std::uint64_t>& pref, const double* scores) {
   const std::size_t n = pref.size();
   if (n < kRadixCutoff) {
     std::sort(pref.begin(), pref.end());
@@ -76,8 +71,8 @@ void sort_preferences(std::vector<std::uint64_t>& pref,
   constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
   constexpr int kKeyShift = 32;
   constexpr int kPasses = 2;
-  scratch.resize(n);
-  hist.assign(kPasses * kBuckets, 0);
+  std::vector<std::uint64_t> scratch(n);
+  std::vector<std::uint32_t> hist(kPasses * kBuckets, 0);
 
   // Both histograms in one scan.
   std::uint32_t* hist_lo = hist.data();
@@ -210,41 +205,20 @@ AllocationResult allocate_round_robin(std::span<const ApplicationSpec> apps,
   // depends only on the app, so the result is thread-count invariant.
   std::vector<std::vector<std::uint64_t>> preference(a_count);
   std::vector<std::vector<double>> scores(a_count);
-  std::atomic<std::size_t> next_app{0};
-  const auto worker = [&] {
-    std::vector<std::uint64_t> scratch;
-    std::vector<std::uint32_t> hist;
-    for (;;) {
-      const std::size_t a = next_app.fetch_add(1);
-      if (a >= a_count) return;
-      const ApplicationSpec& app = apps[a];
-      std::vector<double>& score = scores[a];
-      std::vector<std::uint64_t>& pref = preference[a];
-      score.resize(h_count);
-      pref.resize(h_count);
-      // The fused sweep: five contiguous columns in, one packed entry
-      // out — through the dispatch table (bit-identical across arms).
-      const backend::ScoreWeights weights{
-          {app.alpha, app.beta, app.gamma, app.delta, app.epsilon}};
-      ops.score_pack(log_c, log_m, log_i, log_f, log_d, weights, h_count,
-                     score.data(), pref.data());
-      sort_preferences(pref, scratch, hist, score.data());
-    }
-  };
-
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  const std::size_t n_workers =
-      std::min<std::size_t>(static_cast<std::size_t>(threads), a_count);
-  {
-    // The calling thread is worker zero; only the extras are spawned.
-    std::vector<std::jthread> pool;
-    pool.reserve(n_workers - 1);
-    for (std::size_t i = 1; i < n_workers; ++i) pool.emplace_back(worker);
-    worker();
-  }
+  util::parallel_for(a_count, threads, [&](std::size_t a) {
+    const ApplicationSpec& app = apps[a];
+    std::vector<double>& score = scores[a];
+    std::vector<std::uint64_t>& pref = preference[a];
+    score.resize(h_count);
+    pref.resize(h_count);
+    // The fused sweep: five contiguous columns in, one packed entry
+    // out — through the dispatch table (bit-identical across arms).
+    const backend::ScoreWeights weights{
+        {app.alpha, app.beta, app.gamma, app.delta, app.epsilon}};
+    ops.score_pack(log_c, log_m, log_i, log_f, log_d, weights, h_count,
+                   score.data(), pref.data());
+    sort_preferences(pref, score.data());
+  });
 
   // exp only on the hosts an application actually wins.
   return select_round_robin(

@@ -1,18 +1,17 @@
 #include "sim/bag_of_tasks.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "churn/churn_scheduler.h"
 #include "sim/replication.h"
 #include "sim/schedule_state.h"
 #include "stats/distributions.h"
+#include "util/parallel_for.h"
 
 namespace resmodel::sim {
 
@@ -473,8 +472,8 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
                                   pop.name + "'");
     }
   }
-  // Validate every cell's inputs up front: a throw from inside a spawned
-  // worker would land in std::terminate.
+  // Validate every cell's inputs up front, so a bad grid fails before any
+  // availability is realized or any cell starts.
   for (const std::size_t task_count : config.task_counts) {
     BagOfTasksConfig probe = config.base;
     probe.task_count = task_count;
@@ -487,9 +486,8 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
       case SchedulingPolicy::kStaticRoundRobin:
       case SchedulingPolicy::kStaticSpeedWeighted:
       case SchedulingPolicy::kDynamicPull:
-        // Up-front refusal (a throw inside a spawned worker would land in
-        // std::terminate): the replicated engine only composes with the
-        // ECT-family policies.
+        // Up-front refusal, before any work starts: the replicated engine
+        // only composes with the ECT-family policies.
         if (replicated) {
           throw std::invalid_argument(
               "run_policy_sweep: replication/fault injection requires "
@@ -593,8 +591,8 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
   }
   real.reset();  // a derate-only grid keeps no timeline alive for its cells
 
-  // Independent, deterministically seeded cells claimed off an atomic
-  // counter — the allocator's score-phase pattern. Any thread may run any
+  // Independent, deterministically seeded cells on util::parallel_for,
+  // which hands out job indices in ascending order. Any thread may run any
   // cell; none of them shares mutable state (the shared states and
   // cursor seeds are read-only after the loop above), so the grid is
   // thread-count invariant. Churn cells are the longest, so they are
@@ -608,50 +606,30 @@ PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
             config.policies[(c / result.task_count_count) %
                             result.policy_count]);
       });
-  std::atomic<std::size_t> next_claim{0};
-  const auto worker = [&] {
-    for (;;) {
-      const std::size_t k = next_claim.fetch_add(1);
-      if (k >= cell_count) return;
-      const std::size_t c = claim_order[k];
-      PolicySweepCell& cell = result.cells[c];
-      cell.task_count = c % result.task_count_count;
-      cell.policy = (c / result.task_count_count) % result.policy_count;
-      cell.population = c / (result.task_count_count * result.policy_count);
-      BagOfTasksConfig cell_config = config.base;
-      cell_config.task_count = config.task_counts[cell.task_count];
-      const SchedulingPolicy policy = config.policies[cell.policy];
-      const SharedState& pop_state = shared[cell.population];
-      const bool churn_cell = is_churn_policy(policy);
-      // Replicated cells (churn or not) resume from the post-realization
-      // stream, exactly like a standalone replicated run; when
-      // model_availability is set the two resume points coincide.
-      const bool timeline_cell = churn_cell || replicated;
-      util::Rng cell_rng = timeline_cell ? pop_state.rng_after_avail
-                                         : pop_state.rng_after_flagged;
-      cell.result = run_with_state(
-          ScheduleState(churn_cell ? pop_state.state_base
-                                   : pop_state.state_flagged),
-          timeline_cell ? pop_state.timeline.get() : nullptr, cell_config,
-          policy, cell_rng, /*reference_dynamics=*/false,
-          churn_cell ? &*pop_state.cursor_seed : nullptr);
-    }
-  };
-
-  int threads = config.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  const std::size_t n_workers =
-      std::min<std::size_t>(static_cast<std::size_t>(threads), cell_count);
-  {
-    // The calling thread is worker zero; only the extras are spawned.
-    std::vector<std::jthread> pool;
-    pool.reserve(n_workers - 1);
-    for (std::size_t i = 1; i < n_workers; ++i) pool.emplace_back(worker);
-    worker();
-  }
+  util::parallel_for(cell_count, config.threads, [&](std::size_t k) {
+    const std::size_t c = claim_order[k];
+    PolicySweepCell& cell = result.cells[c];
+    cell.task_count = c % result.task_count_count;
+    cell.policy = (c / result.task_count_count) % result.policy_count;
+    cell.population = c / (result.task_count_count * result.policy_count);
+    BagOfTasksConfig cell_config = config.base;
+    cell_config.task_count = config.task_counts[cell.task_count];
+    const SchedulingPolicy policy = config.policies[cell.policy];
+    const SharedState& pop_state = shared[cell.population];
+    const bool churn_cell = is_churn_policy(policy);
+    // Replicated cells (churn or not) resume from the post-realization
+    // stream, exactly like a standalone replicated run; when
+    // model_availability is set the two resume points coincide.
+    const bool timeline_cell = churn_cell || replicated;
+    util::Rng cell_rng = timeline_cell ? pop_state.rng_after_avail
+                                       : pop_state.rng_after_flagged;
+    cell.result = run_with_state(
+        ScheduleState(churn_cell ? pop_state.state_base
+                                 : pop_state.state_flagged),
+        timeline_cell ? pop_state.timeline.get() : nullptr, cell_config,
+        policy, cell_rng, /*reference_dynamics=*/false,
+        churn_cell ? &*pop_state.cursor_seed : nullptr);
+  });
   return result;
 }
 

@@ -299,16 +299,15 @@ struct PolicySweepResult {
   }
 };
 
-/// Runs every (population, policy, task count) cell of the grid on a
-/// worker pool (the same spawn-extra-jthreads pattern as the allocator's
-/// score phase; the calling thread is worker zero). Cells are independent
-/// and deterministically seeded, so the result is identical for any
-/// thread count. Unless availability_coupled is set, a population
-/// reuses the previous population's availability realization when both
-/// have the same size (uncoupled, the draw depends only on the host
-/// count and the seed). Churn cells, the longest, are claimed first;
-/// results stay indexed by cell. Throws std::invalid_argument on an
-/// empty grid axis, an empty population, or a degenerate base config.
+/// Runs every (population, policy, task count) cell of the grid on
+/// util::parallel_for (the calling thread is worker zero). Cells are
+/// independent and deterministically seeded, so the result is identical
+/// for any thread count. Unless availability_coupled is set, a
+/// population reuses the previous population's availability realization
+/// when both have the same size (uncoupled, the draw depends only on the
+/// host count and the seed). Churn cells, the longest, are claimed
+/// first; results stay indexed by cell. Throws std::invalid_argument on
+/// an empty grid axis, an empty population, or a degenerate base config.
 PolicySweepResult run_policy_sweep(std::span<const SweepPopulation> populations,
                                    const PolicySweepConfig& config);
 

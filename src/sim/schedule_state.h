@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "backend/kernels.h"
+#include "util/dary_heap.h"
 
 namespace resmodel::sim {
 
@@ -194,47 +195,24 @@ DynamicScheduleTotals speed_weighted_schedule_blocked(
 DynamicScheduleTotals speed_weighted_schedule_reference(
     ScheduleState& state, std::span<const double> tasks);
 
-/// Flat d-ary (d = 4) min-heap of (free_at, host) entries, ordered by key
-/// then host index — the total order makes any correct heap pop the same
-/// sequence as std::priority_queue. Four children per node means half the
-/// tree depth of a binary heap and sift-down comparisons that stay inside
-/// one cache line of 16-byte entries.
-class PullHeap {
- public:
-  struct Entry {
-    double key = 0.0;
-    std::uint64_t host = 0;
-  };
-  static_assert(sizeof(Entry) == 16, "no padding between key and host");
+/// One idle-host entry of the pull heap: the day the host goes idle and
+/// its index.
+struct PullEntry {
+  double key = 0.0;
+  std::uint64_t host = 0;
+};
+static_assert(sizeof(PullEntry) == 16, "no padding between key and host");
 
-  /// Seeds one (0.0, h) entry per host; ascending hosts at equal keys is
-  /// already heap-ordered, so construction is O(n) with no sifting.
-  explicit PullHeap(std::size_t hosts);
-
-  /// Seeds one (keys[h], h) entry per host and heapifies (Floyd, O(n)) —
-  /// how the pull kernels ingest a state's current free_at column.
-  explicit PullHeap(std::span<const double> keys);
-
-  std::size_t size() const noexcept { return entries_.size(); }
-  bool empty() const noexcept { return entries_.empty(); }
-  const Entry& min() const noexcept { return entries_.front(); }
-
-  void push(double key, std::uint64_t host);
-  Entry pop_min();
-  /// pop_min + push fused into a single sift-down from the root — the
-  /// kDynamicPull inner step (a host re-enters with its new idle time).
-  void replace_min(double key, std::uint64_t host);
-
- private:
-  static constexpr std::size_t kArity = 4;
-  static bool less(const Entry& a, const Entry& b) noexcept {
+/// Key, then host index: a total order, so any correct heap pops the
+/// same sequence as std::priority_queue.
+struct KeyThenHost {
+  bool operator()(const PullEntry& a, const PullEntry& b) const noexcept {
     return a.key < b.key || (a.key == b.key && a.host < b.host);
   }
-  void sift_up(std::size_t i) noexcept;
-  void sift_down(std::size_t i) noexcept;
-
-  std::vector<Entry> entries_;
 };
+
+/// The kDynamicPull idle-host queue (see util/dary_heap.h).
+using PullHeap = util::DaryHeap<PullEntry, KeyThenHost>;
 
 /// Dynamic pull (list scheduling): the earliest-available host takes the
 /// next task. Flat 4-ary heap kernel seeded from the state's current

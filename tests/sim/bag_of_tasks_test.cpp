@@ -582,14 +582,14 @@ TEST(PolicySweep, RejectsEmptyAxesAndPopulations) {
   PolicySweepConfig no_tasks = sweep;
   no_tasks.task_counts.clear();
   EXPECT_THROW(run_policy_sweep(populations, no_tasks), std::invalid_argument);
-  // A degenerate count anywhere in the list must throw up front on the
-  // calling thread, never from inside a spawned worker.
+  // A degenerate count anywhere in the list must throw up front, before
+  // any cell runs.
   PolicySweepConfig bad_later_cell = sweep;
   bad_later_cell.task_counts = {10, 0};
   bad_later_cell.threads = 4;
   EXPECT_THROW(run_policy_sweep(populations, bad_later_cell),
                std::invalid_argument);
-  // An out-of-range policy value must also throw on the calling thread.
+  // An out-of-range policy value must also throw up front.
   PolicySweepConfig bad_policy = sweep;
   bad_policy.policies = {SchedulingPolicy::kDynamicEct,
                          static_cast<SchedulingPolicy>(99)};

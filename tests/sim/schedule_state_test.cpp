@@ -355,10 +355,23 @@ TEST(SpeedWeightedKernels, DealsInRateProportion) {
   EXPECT_NEAR(totals.total_cpu_days, 200.0, 1e-9);
 }
 
+// The pull kernels' seeding: one (keys[h], h) entry per host.
+std::vector<PullEntry> key_seeded(std::span<const double> keys) {
+  std::vector<PullEntry> entries(keys.size());
+  for (std::size_t h = 0; h < keys.size(); ++h) entries[h] = {keys[h], h};
+  return entries;
+}
+
+PullHeap zero_seeded(std::size_t hosts) {
+  PullHeap heap;
+  heap.build(key_seeded(std::vector<double>(hosts, 0.0)));
+  return heap;
+}
+
 TEST(PullHeap, InitialSeedPopsHostsInOrder) {
-  PullHeap heap(100);
+  PullHeap heap = zero_seeded(100);
   for (std::size_t h = 0; h < 100; ++h) {
-    const PullHeap::Entry e = heap.pop_min();
+    const PullEntry e = heap.pop_min();
     EXPECT_EQ(e.key, 0.0);
     EXPECT_EQ(e.host, h);
   }
@@ -371,17 +384,17 @@ TEST(PullHeap, MatchesPriorityQueueOracle) {
   using OracleEntry = std::pair<double, std::uint64_t>;
   std::priority_queue<OracleEntry, std::vector<OracleEntry>, std::greater<>>
       oracle;
-  PullHeap heap(0);
+  PullHeap heap;
   util::Rng rng(21);
   std::uint64_t next_host = 0;
   for (int op = 0; op < 4000; ++op) {
     if (heap.empty() || rng.uniform() < 0.55) {
       const double key = static_cast<double>(rng.uniform_index(8));
-      heap.push(key, next_host);
+      heap.push({key, next_host});
       oracle.push({key, next_host});
       ++next_host;
     } else {
-      const PullHeap::Entry got = heap.pop_min();
+      const PullEntry got = heap.pop_min();
       const OracleEntry want = oracle.top();
       oracle.pop();
       EXPECT_EQ(got.key, want.first);
@@ -389,7 +402,7 @@ TEST(PullHeap, MatchesPriorityQueueOracle) {
     }
   }
   while (!heap.empty()) {
-    const PullHeap::Entry got = heap.pop_min();
+    const PullEntry got = heap.pop_min();
     const OracleEntry want = oracle.top();
     oracle.pop();
     EXPECT_EQ(got.key, want.first);
@@ -399,20 +412,20 @@ TEST(PullHeap, MatchesPriorityQueueOracle) {
 }
 
 TEST(PullHeap, ReplaceMinEquivalentToPopPush) {
-  PullHeap fused(50);
-  PullHeap two_step(50);
+  PullHeap fused = zero_seeded(50);
+  PullHeap two_step = zero_seeded(50);
   util::Rng rng(22);
   for (int op = 0; op < 500; ++op) {
     const double key = rng.uniform() * 10.0;
     const std::uint64_t host = fused.min().host;
-    fused.replace_min(key, host);
-    const PullHeap::Entry popped = two_step.pop_min();
+    fused.replace_min({key, host});
+    const PullEntry popped = two_step.pop_min();
     EXPECT_EQ(popped.host, host);
-    two_step.push(key, host);
+    two_step.push({key, host});
   }
   while (!fused.empty()) {
-    const PullHeap::Entry a = fused.pop_min();
-    const PullHeap::Entry b = two_step.pop_min();
+    const PullEntry a = fused.pop_min();
+    const PullEntry b = two_step.pop_min();
     EXPECT_EQ(a.key, b.key);
     EXPECT_EQ(a.host, b.host);
   }
@@ -423,14 +436,15 @@ TEST(PullHeap, KeySeededConstructorHeapifies) {
   util::Rng rng(23);
   std::vector<double> keys(137);
   for (double& k : keys) k = static_cast<double>(rng.uniform_index(16));
-  PullHeap from_keys{std::span<const double>(keys)};
-  PullHeap pushed(0);
+  PullHeap from_keys;
+  from_keys.build(key_seeded(keys));
+  PullHeap pushed;
   for (std::size_t h = 0; h < keys.size(); ++h) {
-    pushed.push(keys[h], h);
+    pushed.push({keys[h], h});
   }
   while (!from_keys.empty()) {
-    const PullHeap::Entry a = from_keys.pop_min();
-    const PullHeap::Entry b = pushed.pop_min();
+    const PullEntry a = from_keys.pop_min();
+    const PullEntry b = pushed.pop_min();
     EXPECT_EQ(a.key, b.key);
     EXPECT_EQ(a.host, b.host);
   }

@@ -4,6 +4,9 @@
 
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/model_params.h"
 #include "trace/csv_io.h"
@@ -170,6 +173,36 @@ TEST(Cli, SweepRejectsBadArgs) {
   EXPECT_EQ(run({"sweep", model_path, "2010-06-01", "100", "50",
                  "--seed=-1"}),
             kFailure);
+  // Values the target field cannot hold are rejected, never wrapped: a
+  // 2^32 thread or retry count used to wrap to 0, and a 20-digit value
+  // used to escape as a bare std::out_of_range.
+  const std::vector<std::pair<std::string, std::string>> oversized = {
+      {"--threads=4294967296", "bad threads: '4294967296'"},
+      {"--threads=3000000000", "bad threads: '3000000000'"},
+      {"--retries=4294967296", "bad --retries: '4294967296'"},
+      {"--seed=99999999999999999999", "bad seed: '99999999999999999999'"},
+      {"--threads=99999999999999999999",
+       "bad threads: '99999999999999999999'"},
+      {"--replication=2/4294967299", "bad replication count: '4294967299'"},
+  };
+  for (const auto& [flag, message] : oversized) {
+    EXPECT_EQ(run({"sweep", model_path, "2010-06-01", "100", "50", flag},
+                  nullptr, &err),
+              kFailure)
+        << flag;
+    EXPECT_NE(err.find(message), std::string::npos) << flag << ": " << err;
+  }
+  // The largest values that fit still parse: the seed runs, and the
+  // retry count reaches the replication config's own range check
+  // instead of wrapping.
+  EXPECT_EQ(run({"sweep", model_path, "2010-06-01", "100", "50",
+                 "--policies=ect", "--seed=18446744073709551615"}),
+            kOk);
+  EXPECT_EQ(run({"sweep", model_path, "2010-06-01", "100", "50",
+                 "--policies=ect", "--retries=4294967295"},
+                nullptr, &err),
+            kFailure);
+  EXPECT_NE(err.find("max_retries must be <="), std::string::npos) << err;
 }
 
 TEST(Cli, BackendsPrintsDispatchTable) {
@@ -761,6 +794,24 @@ TEST(Cli, ServeRejectsBadArgs) {
   EXPECT_EQ(run({"serve", "--clients=100", "--days=7", "--batch=0"},
                 nullptr, &err),
             kFailure);
+  // --threads is range-checked into int: 2^32 + 1 used to truncate to
+  // 1 thread, 3e9 to a negative (= all cores), and a 20-digit value
+  // escaped as a bare "stoull".
+  for (const std::string value :
+       {"4294967297", "3000000000", "99999999999999999999"}) {
+    EXPECT_EQ(run({"serve", "--clients=100", "--days=7", "--threads=" + value},
+                  nullptr, &err),
+              kFailure)
+        << value;
+    EXPECT_NE(err.find("bad --threads: '" + value + "'"), std::string::npos)
+        << err;
+  }
+  EXPECT_EQ(run({"serve", "--clients=100", "--days=7",
+                 "--seed=99999999999999999999"},
+                nullptr, &err),
+            kFailure);
+  EXPECT_NE(err.find("bad --seed: '99999999999999999999'"), std::string::npos)
+      << err;
 
   // Policy flags that need each other or valid specs.
   EXPECT_EQ(run({"serve", "--clients=100", "--days=7", "--deadline-days=2"},

@@ -6,7 +6,9 @@
 #include <stdexcept>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 
 #include "backend/backend.h"
@@ -33,28 +35,40 @@ namespace resmodel::cli {
 
 namespace {
 
-std::size_t parse_count(const std::string& s, const char* what) {
-  // Digits-only: std::stoul would wrap a negative string ("-3") around to
-  // a huge accepted value instead of rejecting it.
-  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument(std::string("bad ") + what + ": '" + s + "'");
+/// Digits-only u64 in [0, max]. std::stoull alone would wrap a negative
+/// string ("-3") around to a huge accepted value; `max` rejects what the
+/// caller's narrower field would wrap.
+std::uint64_t parse_u64(
+    const std::string& value, const char* what,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const std::string bad = std::string("bad ") + what + ": '" + value + "'";
+  if (value.empty() ||
+      value.find_first_not_of("0123456789") != std::string::npos) {
+    throw std::invalid_argument(bad);
   }
-  const unsigned long long v = std::stoull(s);
+  std::uint64_t v = 0;
+  try {
+    v = std::stoull(value);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument(bad);
+  }
+  if (v > max) {
+    throw std::invalid_argument(bad + " (expected at most " +
+                                std::to_string(max) + ")");
+  }
+  return v;
+}
+
+/// parse_u64 that also rejects 0.
+std::size_t parse_count(
+    const std::string& s, const char* what,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  const std::uint64_t v = parse_u64(s, what, max);
   if (v == 0) {
     throw std::invalid_argument(std::string("bad ") + what + ": '" + s +
                                 "' (expected a positive count)");
   }
   return static_cast<std::size_t>(v);
-}
-
-/// Digits-only u64 (0 allowed, unlike parse_count).
-std::uint64_t parse_u64(const std::string& value, const char* what) {
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos) {
-    throw std::invalid_argument(std::string("bad ") + what + ": '" + value +
-                                "'");
-  }
-  return std::stoull(value);
 }
 
 /// Flags shared by the host-synthesis commands. Everything that is not a
@@ -542,10 +556,11 @@ void parse_replication(const std::string& spec, sim::ReplicationConfig& rep) {
     throw std::invalid_argument("bad --replication: '" + spec +
                                 "' (expected k/n, e.g. 2/3)");
   }
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
   rep.quorum = static_cast<std::uint32_t>(
-      parse_count(spec.substr(0, slash), "replication quorum"));
+      parse_count(spec.substr(0, slash), "replication quorum", kMax));
   rep.replicas = static_cast<std::uint32_t>(
-      parse_count(spec.substr(slash + 1), "replication count"));
+      parse_count(spec.substr(slash + 1), "replication count", kMax));
   rep.enabled = true;
 }
 
@@ -615,28 +630,20 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
           parse_positive_double(arg.substr(10), "--backoff");
       sweep.base.replication.enabled = true;
     } else if (arg.starts_with("--retries=")) {
-      // 0 is legitimate (no re-issue), so parse digits directly.
-      const std::string value = arg.substr(10);
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("bad --retries: '" + value + "'");
-      }
+      // 0 is legitimate (no re-issue).
       sweep.base.replication.max_retries =
-          static_cast<std::uint32_t>(std::stoul(value));
+          static_cast<std::uint32_t>(parse_u64(
+              arg.substr(10), "--retries",
+              std::numeric_limits<std::uint32_t>::max()));
       sweep.base.replication.enabled = true;
     } else if (arg.starts_with("--fault-mix=")) {
       sweep.base.fault_mix = parse_fault_mix(arg.substr(12));
     } else if (arg.starts_with("--threads=")) {
-      sweep.threads = static_cast<int>(parse_count(arg.substr(10), "threads"));
+      sweep.threads = static_cast<int>(parse_count(
+          arg.substr(10), "threads", std::numeric_limits<int>::max()));
     } else if (arg.starts_with("--seed=")) {
-      // Unlike the count arguments, 0 is a legitimate seed — but stoull
-      // alone would also wrap negatives, so digits only.
-      const std::string value = arg.substr(7);
-      if (value.empty() ||
-          value.find_first_not_of("0123456789") != std::string::npos) {
-        throw std::invalid_argument("bad seed: '" + value + "'");
-      }
-      sweep.workload_seed = std::stoull(value);
+      // Unlike the count arguments, 0 is a legitimate seed.
+      sweep.workload_seed = parse_u64(arg.substr(7), "seed");
     } else if (arg == "--availability") {
       sweep.base.model_availability = true;
     } else if (arg == "--churn") {
@@ -872,8 +879,8 @@ int cmd_serve(const std::vector<std::string>& args, std::ostream& out,
                                 0xffffffffu));
       shape_flags.push_back("--shards");
     } else if (arg.starts_with("--threads=")) {
-      config.threads =
-          static_cast<int>(parse_u64(arg.substr(10), "--threads"));
+      config.threads = static_cast<int>(parse_u64(
+          arg.substr(10), "--threads", std::numeric_limits<int>::max()));
     } else if (arg.starts_with("--seed=")) {
       config.collection.population.seed = parse_u64(arg.substr(7), "--seed");
       shape_flags.push_back("--seed");
