@@ -26,6 +26,7 @@
 #include "store/adapters.h"
 #include "store/snapshot.h"
 #include "synth/population.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace {
@@ -899,6 +900,33 @@ void BM_SnapshotVerify(benchmark::State& state) {
 BENCHMARK(BM_SnapshotVerify)->Arg(100000)->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 
+// --- CRC32C (src/util/checksum.h): the table oracle vs the dispatched arm --
+// A page, a 2 MiB cache-resident buffer and a 64 MiB streaming one; every
+// snapshot and checkpoint walk is bound by this loop.
+
+void crc32c_bench(benchmark::State& state,
+                  std::uint32_t (*crc)(const void*, std::size_t,
+                                       std::uint32_t) noexcept) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(0xC2C);
+  std::vector<unsigned char> bytes(n);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc(bytes.data(), bytes.size(), 0));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+
+void BM_Crc32cTable(benchmark::State& state) {
+  crc32c_bench(state, util::crc32c_table);
+}
+BENCHMARK(BM_Crc32cTable)->Arg(4096)->Arg(2097152)->Arg(67108864);
+
+void BM_Crc32cDispatched(benchmark::State& state) {
+  crc32c_bench(state, util::crc32c);
+}
+BENCHMARK(BM_Crc32cDispatched)->Arg(4096)->Arg(2097152)->Arg(67108864);
+
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): records whether *this* binary
@@ -925,6 +953,8 @@ int main(int argc, char** argv) {
     benchmark::AddCustomContext("resmodel_backend", arm);
     benchmark::AddCustomContext("resmodel_cpu_features",
                                 be::cpu_feature_string());
+    benchmark::AddCustomContext("resmodel_crc32c",
+                                resmodel::util::crc32c_arm());
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -108,6 +108,25 @@ bool host_is_little_endian() {
   return std::endian::native == std::endian::little;
 }
 
+// Lengths below come from the file, so none of these checks may add two
+// of them: each compares one length against the bytes that remain.
+
+/// True when a whole block (header, `payload_bytes` of payload and the
+/// 8-byte checksum frame) starting at `offset` ends at or before `limit`.
+bool block_fits(std::uint64_t offset, std::uint64_t payload_bytes,
+                std::uint64_t limit) {
+  constexpr std::uint64_t kFrame = kBlockHeaderBytes + 8;
+  return offset <= limit && limit - offset >= kFrame &&
+         payload_bytes <= limit - offset - kFrame;
+}
+
+/// True when `payload_bytes` holds exactly `rows` elements of `dtype`.
+bool payload_holds_rows(std::uint64_t payload_bytes, std::uint64_t rows,
+                        DType dtype) {
+  const std::uint64_t size = dtype_size(dtype);
+  return payload_bytes % size == 0 && payload_bytes / size == rows;
+}
+
 }  // namespace
 
 const Column* Snapshot::find(std::string_view name) const noexcept {
@@ -326,7 +345,7 @@ SnapshotReader::~SnapshotReader() {
 }
 
 bool SnapshotReader::read_at(std::uint64_t offset, void* out, std::size_t n) {
-  if (offset + n > file_bytes_) return false;
+  if (n > file_bytes_ || offset > file_bytes_ - n) return false;
   if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
     return false;
   }
@@ -431,7 +450,8 @@ void SnapshotReader::probe_footer() {
     return;
   }
   if (footer_offset < data_begin_ ||
-      footer_offset + footer_len + kTrailerBytes != file_bytes_) {
+      footer_offset > file_bytes_ - kTrailerBytes ||
+      footer_len != file_bytes_ - kTrailerBytes - footer_offset) {
     footer_errc_ = StoreErrc::kFooterCorrupt;
     footer_detail_ = "trailer frame inconsistent with file size";
     return;
@@ -465,9 +485,9 @@ void SnapshotReader::probe_footer() {
     b.crc = r.u32();
     sane = r.ok() && b.column < schema_.size() && b.shard < shards &&
            b.offset >= data_begin_ &&
-           b.offset + kBlockHeaderBytes + b.payload_bytes + 8 <=
-               footer_offset &&
-           b.payload_bytes == b.rows * dtype_size(schema_[b.column].dtype);
+           block_fits(b.offset, b.payload_bytes, footer_offset) &&
+           payload_holds_rows(b.payload_bytes, b.rows,
+                              schema_[b.column].dtype);
     blocks.push_back(b);
   }
   std::vector<std::pair<std::string, std::string>> metadata;
@@ -518,6 +538,7 @@ bool SnapshotReader::block_payload(const BlockRef& ref,
   const auto expected = encode_block_header(ref.column, ref.shard, ref.rows,
                                             ref.payload_bytes);
   if (std::memcmp(header, expected.data(), sizeof header) != 0) return false;
+  if (!block_fits(ref.offset, ref.payload_bytes, file_bytes_)) return false;
   out.resize(ref.payload_bytes);
   if (ref.payload_bytes > 0 &&
       !read_at(ref.offset + kBlockHeaderBytes, out.data(),
@@ -635,7 +656,7 @@ std::vector<SnapshotReader::BlockRef> SnapshotReader::scan_blocks(
   std::uint32_t expected_column = 0;
   std::uint64_t shard_rows = 0;
   std::vector<std::byte> payload;
-  while (offset + kBlockHeaderBytes + 8 <= file_bytes_) {
+  while (block_fits(offset, 0, file_bytes_)) {
     std::byte header[kBlockHeaderBytes];
     if (!read_at(offset, header, sizeof header)) break;
     BufReader h{header, sizeof header};
@@ -648,12 +669,10 @@ std::vector<SnapshotReader::BlockRef> SnapshotReader::scan_blocks(
     b.offset = offset;
     if (magic != kBlockMagic || b.column != expected_column ||
         b.shard != expected_shard || b.rows == 0 ||
-        b.payload_bytes !=
-            b.rows * dtype_size(schema_[b.column].dtype) ||
-        (b.column > 0 && b.rows != shard_rows)) {
-      break;
-    }
-    if (offset + kBlockHeaderBytes + b.payload_bytes + 8 > file_bytes_) {
+        !payload_holds_rows(b.payload_bytes, b.rows,
+                            schema_[b.column].dtype) ||
+        (b.column > 0 && b.rows != shard_rows) ||
+        !block_fits(offset, b.payload_bytes, file_bytes_)) {
       break;
     }
     std::byte tail[8];

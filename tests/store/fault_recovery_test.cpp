@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
@@ -304,6 +305,130 @@ TEST(FaultRecovery, CorruptionIsAlwaysDetectedAndExactlyAccounted) {
       std::remove(path.c_str());
     }
   }
+}
+
+/// Hand-forged footerless snapshot with one column "x": lets a test put
+/// lengths into block headers that the writer would never produce, with
+/// valid checksums so only the reader's bounds checks stand in the way.
+struct ForgedFile {
+  std::string bytes;
+
+  explicit ForgedFile(DType dtype) {
+    u64(kFileMagic);
+    u32(kFormatVersion);
+    u32(kEndianTag);
+    const std::string kind = "fault.forged.v1";
+    u32(static_cast<std::uint32_t>(kind.size()));
+    bytes += kind;
+    u32(1);  // one column
+    u32(1);
+    bytes += "x";
+    u32(static_cast<std::uint32_t>(dtype));
+    u32(util::crc32c(bytes.data(), bytes.size()));
+  }
+  void u32(std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  }
+  /// Appends a column-0 block header; returns its offset.
+  std::size_t block_header(std::uint64_t shard, std::uint64_t rows,
+                           std::uint64_t payload_bytes) {
+    const std::size_t at = bytes.size();
+    u32(kBlockMagic);
+    u32(0);
+    u64(shard);
+    u64(rows);
+    u64(payload_bytes);
+    return at;
+  }
+  /// Appends `payload` and the checksum frame of the block at `at`.
+  void seal(std::size_t at, const std::string& payload) {
+    bytes += payload;
+    std::uint32_t crc = util::crc32c(bytes.data() + at, kBlockHeaderBytes);
+    crc = util::crc32c(payload.data(), payload.size(), crc);
+    u32(crc);
+    u32(~crc);
+  }
+  std::string write(const std::string& name) const {
+    const std::string path = temp_path(name);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+    return path;
+  }
+};
+
+// The second block header declares a length so large that `offset +
+// header + payload + frame` wraps around 2^64 and lands the checksum-
+// frame read back inside the first block's payload, where a matching
+// (crc, ~crc) pair waits. The scan must stop at that header and account
+// for it like a torn tail: no allocation sized by the forged length, no
+// untyped exception.
+TEST(FaultRecovery, WrappingBlockLengthEndsTheScanLikeATornTail) {
+  constexpr std::uint64_t kRows = 64;
+  constexpr std::uint64_t kForged = 0xffffffffffffffa0ull;  // -96
+  ForgedFile file(DType::kU8);
+  std::string payload(kRows, '\0');
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>(i * 37 + 5);
+  }
+  const std::uint32_t x = 0x5eed1234u;
+  for (int i = 0; i < 4; ++i) {
+    payload[8 + i] = static_cast<char>(x >> (8 * i));
+    payload[12 + i] = static_cast<char>(~x >> (8 * i));
+  }
+  const std::size_t block0 = file.block_header(0, kRows, kRows);
+  file.seal(block0, payload);
+  // Shard 1: a header and the first 8 bytes of a torn payload.
+  const std::uint64_t block1 = file.block_header(1, kForged, kForged);
+  file.u64(0);
+  ASSERT_EQ(block1 + kBlockHeaderBytes + kForged,
+            block0 + kBlockHeaderBytes + 8);
+  const std::string path = file.write("wrapping_block_length.snap");
+
+  const SnapshotReader::VerifyResult v = SnapshotReader(path).verify();
+  EXPECT_FALSE(v.report.footer_intact);
+  EXPECT_FALSE(v.report.complete);
+  EXPECT_EQ(v.report.blocks_expected, 1u);
+  EXPECT_EQ(v.report.blocks_loaded, 1u);
+  EXPECT_TRUE(v.report.lost.empty());
+  EXPECT_EQ(v.report.tail_bytes_unscanned, kBlockHeaderBytes + 8);
+
+  SnapshotReader reader(path);
+  ReadReport report;
+  const Snapshot snap = reader.read_recovering(report);
+  EXPECT_FALSE(report.complete);
+  EXPECT_EQ(report.blocks_loaded, 1u);
+  EXPECT_EQ(report.tail_bytes_unscanned, kBlockHeaderBytes + 8);
+  ASSERT_EQ(snap.rows, kRows);
+  ASSERT_EQ(snap.columns.size(), 1u);
+  EXPECT_EQ(std::memcmp(snap.columns[0].data.data(), payload.data(), kRows),
+            0);
+  std::remove(path.c_str());
+}
+
+// A row count whose byte size wraps (2^61 + 8 f64 rows "fill" 64 bytes)
+// is not a block, however valid its checksum: the scan ends before it.
+TEST(FaultRecovery, WrappingRowCountIsNotABlock) {
+  ForgedFile file(DType::kF64);
+  const std::size_t data_begin = file.bytes.size();
+  file.seal(file.block_header(0, (1ull << 61) + 8, 64), std::string(64, 'r'));
+  const std::string path = file.write("wrapping_row_count.snap");
+
+  SnapshotReader reader(path);
+  ReadReport report;
+  const Snapshot snap = reader.read_recovering(report);
+  EXPECT_FALSE(report.complete);
+  EXPECT_EQ(report.blocks_loaded, 0u);
+  EXPECT_EQ(snap.rows, 0u);
+  EXPECT_EQ(report.tail_bytes_unscanned, file.bytes.size() - data_begin);
+  EXPECT_EQ(SnapshotReader(path).verify().report.blocks_loaded, 0u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

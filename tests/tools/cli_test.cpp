@@ -10,6 +10,7 @@
 
 #include "core/model_params.h"
 #include "trace/csv_io.h"
+#include "util/checksum.h"
 
 namespace resmodel::cli {
 namespace {
@@ -209,6 +210,9 @@ TEST(Cli, BackendsPrintsDispatchTable) {
   std::string out;
   ASSERT_EQ(run({"backends"}, &out), kOk);
   EXPECT_NE(out.find("cpu features:"), std::string::npos);
+  EXPECT_NE(out.find(std::string("\ncrc32c: ") + util::crc32c_arm() + " "),
+            std::string::npos)
+      << out;
   // Every requested arm appears with its resolution; scalar and blocked
   // always resolve to themselves regardless of the CPU.
   EXPECT_NE(out.find("auto"), std::string::npos);

@@ -238,6 +238,8 @@ int cmd_backends(const std::vector<std::string>& args, std::ostream& out,
   // RESMODEL_SIMD cap — what dispatch actually sees, not raw CPUID.
   out << "cpu features: " << backend::cpu_feature_string()
       << " (RESMODEL_SIMD=off|avx2|avx512|native caps detection)\n";
+  out << "crc32c: " << util::crc32c_arm()
+      << " (snapshot and checkpoint checksum arm)\n";
   util::Table table({"Requested", "Resolves to"});
   for (const backend::Backend b :
        {backend::Backend::kAuto, backend::Backend::kScalar,
