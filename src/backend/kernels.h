@@ -1,5 +1,5 @@
 // The kernel-dispatch table behind backend::Backend — one function-
-// pointer struct per SIMD level, each implementing the same five hot
+// pointer struct per SIMD level, each implementing the same four hot
 // primitives over the columnar layouts the sim/ and churn/ kernels
 // already maintain:
 //
@@ -13,11 +13,13 @@
 //                       over * bmin_inv[b] for every block, returning
 //                       the FIRST index attaining the row minimum (the
 //                       warm-start block).
-//   gate_sweep_f32/64 — churn::BoundGate::eval_block over one padded
-//                       64-lane block (checkpoint level routing or the
-//                       restart two-piece bound).
-//   score_pack        — the allocator's fused 5-column score sweep plus
-//                       the descending_key radix-key pack.
+//   gate_sweep        — churn::BoundGate::eval_block over one padded
+//                       64-lane block of float32 columns (checkpoint
+//                       level routing or the restart two-piece bound).
+//
+// The allocator's fused score sweep, score_pack, is a plain function
+// below, not a table entry: its autovectorized loop measured faster than
+// explicit AVX2/AVX-512 code (src/backend/README.md).
 //
 // EXACTNESS RULES (what makes every arm bit-identical):
 //  - No fused multiply-add, ever: a * b + c is two roundings in every
@@ -32,9 +34,9 @@
 //    first-match scans — width changes the schedule, not the answer.
 //
 // Tail handling: ect_block_sweep / column_min / row_bounds_argmin take
-// arbitrary lengths (the SIMD arms run a scalar epilogue); the gate
-// sweeps are fixed 64-lane blocks whose tail lanes the gate pads inert
-// (inv = 0, sess/ready/next = +inf), so they have no tail path at all.
+// arbitrary lengths (the SIMD arms run a scalar epilogue); gate_sweep
+// runs over fixed 64-lane blocks whose tail lanes the gate pads inert
+// (inv = 0, sess/ready/next = +inf), so it has no tail path at all.
 #pragma once
 
 #include <cstddef>
@@ -61,19 +63,18 @@ struct EctBlockMin {
   std::uint32_t index = 0;
 };
 
-/// Read-only view of one 64-lane block of a BoundGate's packed columns
-/// (pointers pre-offset to the block base; all lanes valid — the gate
-/// pads its tails). `levels` of the c/phi arrays are populated;
+/// Read-only view of one 64-lane block of a BoundGate's packed float32
+/// columns (pointers pre-offset to the block base; all lanes valid — the
+/// gate pads its tails). `levels` of the c/phi arrays are populated;
 /// `checkpoint` selects the level-routing bound, else the restart bound.
-template <typename Real>
 struct GateBlockView {
-  const Real* inv = nullptr;
-  const Real* sess = nullptr;
-  const Real* ready = nullptr;
-  const Real* next = nullptr;
-  const Real* accr = nullptr;
-  const Real* c[kGateMaxLevels] = {};
-  const Real* phi[kGateMaxLevels] = {};
+  const float* inv = nullptr;
+  const float* sess = nullptr;
+  const float* ready = nullptr;
+  const float* next = nullptr;
+  const float* accr = nullptr;
+  const float* c[kGateMaxLevels] = {};
+  const float* phi[kGateMaxLevels] = {};
   std::size_t levels = 0;
   bool checkpoint = true;
 };
@@ -86,8 +87,7 @@ struct ScoreWeights {
 
 /// Maps a score to a 32-bit key whose *ascending* unsigned order is the
 /// *descending* float(score) order (sign-flip transform, complemented;
-/// -0.0 normalized onto +0.0 first). Shared by every arm — the SIMD
-/// score_pack implementations must match this bit for bit.
+/// -0.0 normalized onto +0.0 first).
 inline std::uint32_t descending_key(double score) noexcept {
   const float narrowed = static_cast<float>(score + 0.0);
   std::uint32_t bits;
@@ -115,16 +115,7 @@ struct KernelOps {
                                      std::size_t n, double* bounds);
   /// BoundGate::eval_block over one padded 64-lane block; writes
   /// kKernelBlock lower bounds (pad lanes produce +inf).
-  void (*gate_sweep_f32)(const GateBlockView<float>& view, float task,
-                         float* lb);
-  void (*gate_sweep_f64)(const GateBlockView<double>& view, double task,
-                         double* lb);
-  /// score[h] = sum_k w[k] * col_k[h] (left-to-right association);
-  /// pref[h] = (descending_key(score[h]) << 32) | h.
-  void (*score_pack)(const double* log_c, const double* log_m,
-                     const double* log_i, const double* log_f,
-                     const double* log_d, const ScoreWeights& weights,
-                     std::size_t n, double* score, std::uint64_t* pref);
+  void (*gate_sweep)(const GateBlockView& view, float task, float* lb);
 };
 
 /// The dispatch table for a resolved SIMD level. kNone returns the
@@ -132,5 +123,13 @@ struct KernelOps {
 /// intrinsic arms — only call those on hardware resolve() selected
 /// them for.
 const KernelOps& kernel_ops(SimdLevel level) noexcept;
+
+/// The allocator's fused sweep over n hosts: score[h] = sum_k w[k] *
+/// col_k[h] (left-to-right association, no contraction); pref[h] =
+/// (descending_key(score[h]) << 32) | h.
+void score_pack(const double* log_c, const double* log_m,
+                const double* log_i, const double* log_f,
+                const double* log_d, const ScoreWeights& weights,
+                std::size_t n, double* score, std::uint64_t* pref) noexcept;
 
 }  // namespace resmodel::backend

@@ -129,8 +129,7 @@ std::uint32_t row_bounds_argmin_avx512(const double* row,
   return 0;  // unreachable: tightest was read from bounds
 }
 
-void gate_sweep_f32_avx512(const GateBlockView<float>& v, float t,
-                           float* lb) {
+void gate_sweep_avx512(const GateBlockView& v, float t, float* lb) {
   const __m512 vt = _mm512_set1_ps(t);
   const std::size_t L = v.levels;
   if (v.checkpoint) {
@@ -170,95 +169,9 @@ void gate_sweep_f32_avx512(const GateBlockView<float>& v, float t,
   }
 }
 
-void gate_sweep_f64_avx512(const GateBlockView<double>& v, double t,
-                           double* lb) {
-  const __m512d vt = _mm512_set1_pd(t);
-  const std::size_t L = v.levels;
-  if (v.checkpoint) {
-    for (std::size_t j = 0; j < 8; ++j) {
-      const std::size_t o = j * 8;
-      const __m512d w = _mm512_mul_pd(vt, _mm512_loadu_pd(v.inv + o));
-      const __m512d target =
-          _mm512_add_pd(_mm512_loadu_pd(v.accr + o), w);
-      __m512d spill =
-          _mm512_add_pd(target, _mm512_loadu_pd(v.phi[L - 1] + o));
-      for (std::size_t k = L - 1; k-- > 0;) {
-        const __m512d ck = _mm512_loadu_pd(v.c[k] + o);
-        const __m512d pk = _mm512_loadu_pd(v.phi[k] + o);
-        const __m512d val = _mm512_add_pd(target, pk);
-        const __mmask8 le = _mm512_cmp_pd_mask(target, ck, _CMP_LE_OQ);
-        spill = _mm512_mask_min_pd(spill, le, spill, val);
-      }
-      const __m512d fits = _mm512_add_pd(_mm512_loadu_pd(v.ready + o), w);
-      const __mmask8 fm =
-          _mm512_cmp_pd_mask(w, _mm512_loadu_pd(v.sess + o), _CMP_LE_OQ);
-      _mm512_storeu_pd(lb + o, _mm512_mask_blend_pd(fm, spill, fits));
-    }
-  } else {
-    for (std::size_t j = 0; j < 8; ++j) {
-      const std::size_t o = j * 8;
-      const __m512d w = _mm512_mul_pd(vt, _mm512_loadu_pd(v.inv + o));
-      const __m512d rw = _mm512_add_pd(_mm512_loadu_pd(v.ready + o), w);
-      const __m512d nw = _mm512_add_pd(_mm512_loadu_pd(v.next + o), w);
-      const __mmask8 fm =
-          _mm512_cmp_pd_mask(w, _mm512_loadu_pd(v.sess + o), _CMP_LE_OQ);
-      _mm512_storeu_pd(lb + o, _mm512_mask_min_pd(nw, fm, nw, rw));
-    }
-  }
-}
-
-void score_pack_avx512(const double* log_c, const double* log_m,
-                       const double* log_i, const double* log_f,
-                       const double* log_d, const ScoreWeights& weights,
-                       std::size_t n, double* score, std::uint64_t* pref) {
-  const __m512d w0 = _mm512_set1_pd(weights.w[0]);
-  const __m512d w1 = _mm512_set1_pd(weights.w[1]);
-  const __m512d w2 = _mm512_set1_pd(weights.w[2]);
-  const __m512d w3 = _mm512_set1_pd(weights.w[3]);
-  const __m512d w4 = _mm512_set1_pd(weights.w[4]);
-  const __m512d zero = _mm512_setzero_pd();
-  const __m256i ones = _mm256_set1_epi32(-1);
-  const __m256i mant = _mm256_set1_epi32(0x7FFFFFFF);
-  const __m512i iota = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-  std::size_t h = 0;
-  for (; h + 8 <= n; h += 8) {
-    // Left-to-right association, exactly the scalar chain:
-    // (((w0*c + w1*m) + w2*i) + w3*f) + w4*d — mul/add only, no fma.
-    __m512d s = _mm512_mul_pd(w0, _mm512_loadu_pd(log_c + h));
-    s = _mm512_add_pd(s, _mm512_mul_pd(w1, _mm512_loadu_pd(log_m + h)));
-    s = _mm512_add_pd(s, _mm512_mul_pd(w2, _mm512_loadu_pd(log_i + h)));
-    s = _mm512_add_pd(s, _mm512_mul_pd(w3, _mm512_loadu_pd(log_f + h)));
-    s = _mm512_add_pd(s, _mm512_mul_pd(w4, _mm512_loadu_pd(log_d + h)));
-    _mm512_storeu_pd(score + h, s);
-    // descending_key, vectorized: (s + 0.0) normalizes -0.0, cvtpd_ps
-    // is the same monotone double->float rounding as static_cast, and
-    // key = negative ? bits : ~bits & 0x7FFFFFFF (the complemented
-    // sign-flip transform written out per sign).
-    const __m256 f = _mm512_cvtpd_ps(_mm512_add_pd(s, zero));
-    const __m256i bits = _mm256_castps_si256(f);
-    const __m256i sign = _mm256_srai_epi32(bits, 31);
-    const __m256i pos = _mm256_and_si256(_mm256_xor_si256(bits, ones), mant);
-    const __m256i key = _mm256_blendv_epi8(pos, bits, sign);
-    const __m512i entry = _mm512_or_si512(
-        _mm512_slli_epi64(_mm512_cvtepu32_epi64(key), 32),
-        _mm512_add_epi64(_mm512_set1_epi64(static_cast<long long>(h)),
-                         iota));
-    _mm512_storeu_si512(pref + h, entry);
-  }
-  for (; h < n; ++h) {
-    const double s = weights.w[0] * log_c[h] + weights.w[1] * log_m[h] +
-                     weights.w[2] * log_i[h] + weights.w[3] * log_f[h] +
-                     weights.w[4] * log_d[h];
-    score[h] = s;
-    pref[h] = (static_cast<std::uint64_t>(descending_key(s)) << 32) |
-              static_cast<std::uint64_t>(h);
-  }
-}
-
 constexpr KernelOps kAvx512Ops = {
-    &ect_block_sweep_avx512, &column_min_avx512,
-    &row_bounds_argmin_avx512, &gate_sweep_f32_avx512,
-    &gate_sweep_f64_avx512, &score_pack_avx512,
+    &ect_block_sweep_avx512, &column_min_avx512, &row_bounds_argmin_avx512,
+    &gate_sweep_avx512,
 };
 
 }  // namespace

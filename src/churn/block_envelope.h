@@ -41,17 +41,17 @@
 // the drifted positions lost. Soundness never depends on the epoch; only
 // pruning power does.
 //
-// FLOAT-PACKED COLUMNS. The swept bound columns can be stored as float32:
-// half the bytes per admitted block and twice the SIMD width. Bounds stay
-// sound by construction rather than by exact rounding: all inputs are
-// non-negative (no cancellation), so every float32 chain error is
-// relative; the comparison columns (sess_rem and the level widths d_k =
-// cum_k - accr) are PADDED by kPadF32 before conversion so a lane that
-// exactly fits (or exactly routes to level j) still takes the fits (or
-// level-j) arm after rounding — the arm whose value cannot exceed the
-// true completion — and every consumer deflates gate values by
-// kMarginF32, orders of magnitude above the accumulated float32 error,
-// before comparing against an exact incumbent. Commit-time completions
+// FLOAT-PACKED COLUMNS. The swept bound columns are stored as float32:
+// half the bytes per admitted block and twice the SIMD width of double.
+// Bounds stay sound by construction rather than by exact rounding: all
+// inputs are non-negative (no cancellation), so every float32 chain
+// error is relative; the comparison columns (sess_rem and the level
+// widths d_k = cum_k - accr) are PADDED by kPadF32 before conversion so
+// a lane that exactly fits (or exactly routes to level j) still takes
+// the fits (or level-j) arm after rounding — the arm whose value cannot
+// exceed the true completion — and every consumer deflates gate values
+// by kMarginF32, orders of magnitude above the accumulated float32
+// error, before comparing against an exact incumbent. Commit-time completions
 // never touch these columns: survivors are resolved through the exact
 // double cursor expressions, which is what keeps the blocked kernel
 // bit-identical to the scalar reference (see churn_scheduler.h).
@@ -77,16 +77,6 @@ enum class InterruptionPolicy {
   kAbandon,
 };
 
-/// Which block gate prunes the churn ECT scan.
-enum class GateMode {
-  /// PR-4 style: per-block minima at 32 global log-spaced task-size
-  /// edges, the whole row recomputed per assignment (retained as the
-  /// ablation baseline).
-  kBucket,
-  /// Per-block lower envelopes with incremental maintenance (default).
-  kEnvelope,
-};
-
 /// Upper limit for the runtime-configurable session lookahead depth
 /// (BagOfTasksConfig::churn_lookahead_levels / `sweep --churn-levels`).
 inline constexpr std::size_t kMaxLookaheadLevels = 12;
@@ -98,10 +88,6 @@ inline constexpr std::size_t kMaxLookaheadLevels = 12;
 /// an order of magnitude of headroom.
 inline constexpr double kPadF32 = 1.0 + 1e-5;
 inline constexpr double kMarginF32 = 1.0 - 1e-5;
-/// Double-precision twin margins (bounds and completions still come from
-/// different FP expressions; see churn_scheduler.cpp's kBoundMargin).
-inline constexpr double kPadF64 = 1.0 + 1e-12;
-inline constexpr double kMarginF64 = 1.0 - 1e-12;
 
 /// Read-only view of the scheduler's per-host double cursor columns (the
 /// exact state the gate packs and the breakpoints it samples). `levels`
@@ -116,9 +102,9 @@ struct CursorView {
   std::size_t levels_count = 0;
 };
 
-/// The pruning gate for one ChurnScheduler run: packed per-lane bound
-/// columns in rate-sorted layout, per-block knot envelopes (kEnvelope),
-/// and the bucket-major coarse row the per-task block scan reads.
+/// The pruning gate for one ChurnScheduler run: packed float32 per-lane
+/// bound columns in rate-sorted layout, per-block knot envelopes, and the
+/// bucket-major coarse row the per-task block scan reads.
 /// reset() builds everything for the run's policy; on_assign() maintains
 /// it incrementally. All returned bounds are RAW — callers must deflate
 /// by margin() before comparing against exact completions.
@@ -138,17 +124,12 @@ class BoundGate {
   /// (backend::resolve — kNone is the autovectorized blocked baseline).
   /// Every arm produces bit-identical bounds, so gate decisions and the
   /// kernel-shape counters never depend on it.
-  explicit BoundGate(GateMode mode, bool float32,
-                     backend::SimdLevel simd =
-                         backend::SimdLevel::kNone) noexcept
-      : mode_(mode),
-        float32_(float32),
-        ops_(&backend::kernel_ops(simd)) {}
+  explicit BoundGate(
+      backend::SimdLevel simd = backend::SimdLevel::kNone) noexcept
+      : ops_(&backend::kernel_ops(simd)) {}
 
-  GateMode mode() const noexcept { return mode_; }
-  bool float32() const noexcept { return float32_; }
   /// Deflation factor every consumer applies to gate-derived bounds.
-  double margin() const noexcept { return float32_ ? kMarginF32 : kMarginF64; }
+  static constexpr double margin() noexcept { return kMarginF32; }
 
   /// (Re)builds the packed columns, envelopes and coarse rows for a run:
   /// `state` supplies the rate-sorted layout (ensure_ect_caches() must
@@ -176,9 +157,7 @@ class BoundGate {
   }
 
   /// Envelope query: sound lower bound on every completion in block
-  /// `blk` for task size `task` (kBucket mode: the coarse bound, so the
-  /// scheduler's two-level gating degrades to one level). RAW — deflate
-  /// by margin().
+  /// `blk` for task size `task`. RAW — deflate by margin().
   double block_bound(std::size_t blk, double task) const noexcept;
 
   /// Streams block `blk`'s packed columns and writes 64 per-lane lower
@@ -189,67 +168,40 @@ class BoundGate {
   /// expressions as sweep_block).
   double lane_bound(std::size_t pos, double task) const noexcept;
 
-  /// Knot count of block `blk` (test hook; 0 in kBucket mode).
+  /// Knot count of block `blk` (test hook).
   std::size_t knot_count(std::size_t blk) const noexcept {
-    return mode_ == GateMode::kEnvelope ? knot_count_[blk] : 0;
+    return knot_count_[blk];
   }
 
  private:
-  template <typename Real>
-  struct Columns {
-    // Flat rate-sorted columns, padded to blocks * kBlock lanes (padding:
-    // inv = 0, sess/ready/next = +inf — inert lanes that bound to +inf).
-    // sess_ and the c_[k] = cum_k level columns are pad-inflated at
-    // conversion (see pack_lane).
-    std::vector<Real> inv_, sess_, ready_, next_, accr_;
-    std::vector<Real> c_[kMaxLookaheadLevels];
-    std::vector<Real> phi_[kMaxLookaheadLevels];
-    // Per-block knot arrays (kEnvelope): positions ascending, stride
-    // kKnotCapacity, values = block-min bound evaluated AT the stored
-    // (rounded) position so rounding never breaks the anchor.
-    std::vector<Real> knot_t_, knot_v_;
-  };
-
-  template <typename Real>
-  void pack_lane(Columns<Real>& c, std::size_t pos, std::size_t host,
+  void pack_lane(std::size_t pos, std::size_t host,
                  const sim::ScheduleState& state, const CursorView& cursors);
-  template <typename Real>
-  void eval_block(const Columns<Real>& c, std::size_t blk, double task,
-                  Real* lb) const noexcept;
+  void eval_block(std::size_t blk, double task, float* lb) const noexcept;
   /// Block-min bound at `task` plus its argmin lane.
-  template <typename Real>
-  std::pair<double, std::uint8_t> eval_block_min(const Columns<Real>& c,
-                                                 std::size_t blk,
+  std::pair<double, std::uint8_t> eval_block_min(std::size_t blk,
                                                  double task) const noexcept;
-  template <typename Real>
-  void rebuild_knots(Columns<Real>& c, std::size_t blk,
-                     const sim::ScheduleState& state,
+  void rebuild_knots(std::size_t blk, const sim::ScheduleState& state,
                      const CursorView& cursors);
-  template <typename Real>
-  void repair_knots(Columns<Real>& c, std::size_t blk, std::uint8_t lane);
-  template <typename Real>
-  double envelope_query(const Columns<Real>& c, std::size_t blk,
-                        double task) const noexcept;
-  template <typename Real>
-  void rebuild_coarse_row(const Columns<Real>& c, std::size_t blk);
-  template <typename Real>
-  void reset_impl(Columns<Real>& c, const sim::ScheduleState& state,
-                  const CursorView& cursors, std::span<const double> tasks);
-  template <typename Real>
-  void on_assign_impl(Columns<Real>& c, std::size_t host,
-                      const sim::ScheduleState& state,
-                      const CursorView& cursors);
+  void repair_knots(std::size_t blk, std::uint8_t lane);
+  void rebuild_coarse_row(std::size_t blk);
 
-  GateMode mode_;
-  bool float32_;
   const backend::KernelOps* ops_;
   InterruptionPolicy policy_ = InterruptionPolicy::kCheckpoint;
   std::size_t levels_ = 0;
   std::size_t blocks_ = 0;
   std::size_t size_ = 0;  ///< real (unpadded) lane count
   const double* bmin_inv_ = nullptr;  ///< state.ect_block_min_inv
-  Columns<float> f32_;
-  Columns<double> f64_;
+  // Flat rate-sorted columns, padded to blocks * kBlock lanes (padding:
+  // inv = 0, sess/ready/next = +inf — inert lanes that bound to +inf).
+  // sess_ and the c_[k] = cum_k level columns are pad-inflated at
+  // conversion (see pack_lane).
+  std::vector<float> inv_, sess_, ready_, next_, accr_;
+  std::vector<float> c_[kMaxLookaheadLevels];
+  std::vector<float> phi_[kMaxLookaheadLevels];
+  // Per-block knot arrays: positions ascending, stride kKnotCapacity,
+  // values = block-min bound evaluated AT the stored (rounded) position
+  // so rounding never breaks the anchor.
+  std::vector<float> knot_t_, knot_v_;
   std::vector<std::uint8_t> knot_argmin_;   ///< stride kKnotCapacity
   std::vector<std::uint16_t> knot_count_;   ///< per block
   std::vector<std::uint16_t> stale_;        ///< assignments since epoch

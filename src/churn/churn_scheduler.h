@@ -47,7 +47,7 @@
 // Survivor lanes are resolved through the EXACT double cursor
 // expressions (the same code path the scalar reference runs), which is
 // what keeps the blocked kernel bit-identical to the retained full-
-// evaluation oracle regardless of gate mode or column precision.
+// evaluation oracle even though the gate's columns are float32.
 // kAbandon's selection key is the optimistic `ready + task*inv` itself,
 // so it needs no gate: it runs on the shared sim::EctBlockIndex over the
 // ready-at column. This file is compiled with -ffp-contract=off and -fno-trapping-math (see
@@ -99,10 +99,6 @@ struct ChurnSchedulerConfig {
   /// 8 cuts that to ~25 / ~20; 12 buys no further shape and streams
   /// wider columns).
   std::size_t lookahead_levels = 8;
-  GateMode gate_mode = GateMode::kEnvelope;
-  /// Pack the swept bound columns as float32 (half the streamed bytes,
-  /// twice the SIMD width); commit-time completions stay double.
-  bool float32_columns = true;
   /// Compute backend for the column sweeps (src/backend/README.md):
   /// kAuto picks the widest SIMD arm the CPU offers; kScalar routes
   /// run() onto run_reference(). Like every other knob here, the

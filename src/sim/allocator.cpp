@@ -25,7 +25,7 @@ namespace {
 /// so equal doubles always share a key and unequal doubles can only
 /// collide when they round to the same float — those rare runs are
 /// repaired by refine_ties() against the exact scores. The fused
-/// score+pack sweep itself is a dispatch kernel (KernelOps::score_pack).
+/// score+pack sweep itself is backend::score_pack.
 constexpr std::uint64_t kIndexMask = 0xFFFFFFFFull;
 
 /// Re-sorts every run of equal 32-bit keys by the exact rule (descending
@@ -165,7 +165,6 @@ AllocationResult allocate_round_robin(std::span<const ApplicationSpec> apps,
     const std::vector<HostResources> aos = hosts.to_hosts();
     return allocate_round_robin_reference(apps, aos);
   }
-  const backend::KernelOps& ops = backend::kernel_ops(rb.simd);
   const std::size_t a_count = apps.size();
   const std::size_t h_count = hosts.size();
   if (h_count > std::numeric_limits<std::uint32_t>::max()) {
@@ -211,12 +210,11 @@ AllocationResult allocate_round_robin(std::span<const ApplicationSpec> apps,
     std::vector<std::uint64_t>& pref = preference[a];
     score.resize(h_count);
     pref.resize(h_count);
-    // The fused sweep: five contiguous columns in, one packed entry
-    // out — through the dispatch table (bit-identical across arms).
+    // The fused sweep: five contiguous columns in, one packed entry out.
     const backend::ScoreWeights weights{
         {app.alpha, app.beta, app.gamma, app.delta, app.epsilon}};
-    ops.score_pack(log_c, log_m, log_i, log_f, log_d, weights, h_count,
-                   score.data(), pref.data());
+    backend::score_pack(log_c, log_m, log_i, log_f, log_d, weights,
+                        h_count, score.data(), pref.data());
     sort_preferences(pref, score.data());
   });
 

@@ -41,10 +41,10 @@ struct AllocationResult {
 /// is identical for any thread count. Complexity O(A * N log N) via
 /// per-application key-value sorted preference lists.
 ///
-/// `backend` selects the arm for the fused score sweep + radix-key pack
-/// (src/backend/README.md): kScalar transposes to AoS and delegates to
-/// allocate_round_robin_reference; the other arms differ only in the
-/// kernel-ops table. Allocations are identical across arms.
+/// `backend` == kScalar transposes to AoS and delegates to
+/// allocate_round_robin_reference (src/backend/README.md); every other
+/// arm runs the one fused score sweep + radix-key pack
+/// (backend::score_pack). Allocations are identical across arms.
 AllocationResult allocate_round_robin(
     std::span<const ApplicationSpec> apps, const HostResourcesSoA& hosts,
     int threads = 0, backend::Backend backend = backend::Backend::kAuto);

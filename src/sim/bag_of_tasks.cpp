@@ -185,8 +185,7 @@ namespace {
 // The policy dispatch shared by every entry point: everything below only
 // needs a built ScheduleState (plus, for the churn family, the interval
 // timeline). `reference_dynamics` selects the retained scalar /
-// priority_queue / full-walk kernels for the dynamic and speed-weighted
-// policies.
+// full-walk kernels for the ECT, churn and speed-weighted policies.
 // `cursor_seed`, when given, is a ChurnScheduler over an identically
 // fresh state whose cursor columns are copied instead of re-derived —
 // run_policy_sweep's per-population warm start.
@@ -287,8 +286,10 @@ BagOfTasksResult run_with_state(ScheduleState state,
     }
 
     case SchedulingPolicy::kStaticSpeedWeighted: {
-      // Same routing as kDynamicPull: the scalar arm and the reference
-      // entry points run the retained full scan.
+      // The scalar arm means "the retained reference oracles" across the
+      // board, so it and the reference entry points run the full scan
+      // (the ECT and churn paths route themselves via state.backend /
+      // the scheduler config).
       const DynamicScheduleTotals totals =
           reference_dynamics || config.backend == backend::Backend::kScalar
               ? speed_weighted_schedule_reference(state, tasks)
@@ -297,14 +298,8 @@ BagOfTasksResult run_with_state(ScheduleState state,
     }
 
     case SchedulingPolicy::kDynamicPull: {
-      // The scalar arm means "the retained reference oracles" across the
-      // board, so it selects the priority_queue pull kernel too (the ECT
-      // and churn paths route themselves via state.backend / the
-      // scheduler config).
-      const DynamicScheduleTotals totals =
-          reference_dynamics || config.backend == backend::Backend::kScalar
-              ? pull_schedule_reference(state, tasks)
-              : pull_schedule_dary(state, tasks);
+      // One kernel on every backend and entry point.
+      const DynamicScheduleTotals totals = pull_schedule(state, tasks);
       return finish(state.busy_days, totals.total_cpu_days,
                     totals.makespan_days);
     }

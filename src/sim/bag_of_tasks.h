@@ -14,9 +14,9 @@
 //
 // The policy hot loops run on the columnar ScheduleState of
 // sim/schedule_state.h (blocked+pruned MCT scan, block-pruned
-// speed-weighted dealing, flat 4-ary pull heap);
-// run_bag_of_tasks_reference keeps the full-scan/priority_queue kernels
-// as the golden oracle, bit-identical to the fast path. run_policy_sweep
+// speed-weighted dealing, priority_queue pull);
+// run_bag_of_tasks_reference keeps the full-scan kernels as the golden
+// oracle, bit-identical to the fast path. run_policy_sweep
 // executes a whole policy x population x task-count grid in parallel with
 // per-cell deterministic seeding.
 //
@@ -243,10 +243,11 @@ BagOfTasksResult run_bag_of_tasks(const HostResourcesSoA& hosts,
                                   const BagOfTasksConfig& config,
                                   SchedulingPolicy policy, util::Rng& rng);
 
-/// Same contract, but the dynamic and speed-weighted policies run on the
-/// retained reference kernels (scalar ECT scan, std::priority_queue pull,
-/// full deficit scan) instead of the blocked/d-ary ones. Bit-identical to run_bag_of_tasks — the golden
-/// oracle for tests/sim/ and the baseline for bench/perf_microbench.
+/// Same contract, but the ECT and speed-weighted policies run on the
+/// retained reference kernels (scalar ECT scan, full deficit scan)
+/// instead of the blocked ones; pull has one kernel for both entry
+/// points. Bit-identical to run_bag_of_tasks — the golden oracle for
+/// tests/sim/ and the baseline for bench/perf_microbench.
 BagOfTasksResult run_bag_of_tasks_reference(
     std::span<const HostResources> hosts, const BagOfTasksConfig& config,
     SchedulingPolicy policy, util::Rng& rng);

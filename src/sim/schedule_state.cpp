@@ -341,32 +341,8 @@ DynamicScheduleTotals speed_weighted_schedule_reference(
   return totals;
 }
 
-DynamicScheduleTotals pull_schedule_dary(ScheduleState& state,
-                                         std::span<const double> tasks) {
-  std::vector<PullEntry> seed(state.size());
-  for (std::size_t h = 0; h < seed.size(); ++h) {
-    seed[h] = {state.free_at[h], static_cast<std::uint64_t>(h)};
-  }
-  PullHeap heap;
-  heap.build(std::move(seed));
-  DynamicScheduleTotals totals;
-  if (state.size() == 0) return totals;
-  for (const double task : tasks) {
-    const PullEntry top = heap.min();
-    const auto h = static_cast<std::size_t>(top.host);
-    const double days = task * state.inv_rates[h];
-    state.busy_days[h] += days;
-    totals.total_cpu_days += days;
-    const double done = top.key + days;
-    state.free_at[h] = done;
-    totals.makespan_days = std::max(totals.makespan_days, done);
-    heap.replace_min({done, top.host});
-  }
-  return totals;
-}
-
-DynamicScheduleTotals pull_schedule_reference(ScheduleState& state,
-                                              std::span<const double> tasks) {
+DynamicScheduleTotals pull_schedule(ScheduleState& state,
+                                    std::span<const double> tasks) {
   using Entry = std::pair<double, std::size_t>;  // (free at, host)
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
   for (std::size_t h = 0; h < state.size(); ++h) {

@@ -18,9 +18,8 @@
 //    completion time.
 //  - ect_schedule_reference: the retained scalar loop, bit-identical to
 //    the blocked kernel (the golden oracle for tests/sim/).
-//  - pull_schedule_dary / pull_schedule_reference: kDynamicPull on a flat
-//    4-ary min-heap vs the std::priority_queue oracle; identical pop
-//    order because (free_at, host) keys are totally ordered.
+//  - pull_schedule: kDynamicPull on a std::priority_queue of
+//    (free_at, host) keys — the one pull kernel on every backend.
 //  - speed_weighted_schedule_blocked / speed_weighted_schedule_reference:
 //    kStaticSpeedWeighted largest-deficit dealing over the same rate-sorted
 //    blocks, pruned by a per-block upper bound on the deficit, vs the
@@ -40,7 +39,6 @@
 #include <vector>
 
 #include "backend/kernels.h"
-#include "util/dary_heap.h"
 
 namespace resmodel::sim {
 
@@ -195,35 +193,11 @@ DynamicScheduleTotals speed_weighted_schedule_blocked(
 DynamicScheduleTotals speed_weighted_schedule_reference(
     ScheduleState& state, std::span<const double> tasks);
 
-/// One idle-host entry of the pull heap: the day the host goes idle and
-/// its index.
-struct PullEntry {
-  double key = 0.0;
-  std::uint64_t host = 0;
-};
-static_assert(sizeof(PullEntry) == 16, "no padding between key and host");
-
-/// Key, then host index: a total order, so any correct heap pops the
-/// same sequence as std::priority_queue.
-struct KeyThenHost {
-  bool operator()(const PullEntry& a, const PullEntry& b) const noexcept {
-    return a.key < b.key || (a.key == b.key && a.host < b.host);
-  }
-};
-
-/// The kDynamicPull idle-host queue (see util/dary_heap.h).
-using PullHeap = util::DaryHeap<PullEntry, KeyThenHost>;
-
 /// Dynamic pull (list scheduling): the earliest-available host takes the
-/// next task. Flat 4-ary heap kernel seeded from the state's current
-/// free_at (a pre-advanced state continues where it left off); updates
-/// state in place.
-DynamicScheduleTotals pull_schedule_dary(ScheduleState& state,
-                                         std::span<const double> tasks);
-
-/// The std::priority_queue implementation retained as the pull oracle;
-/// bit-identical to pull_schedule_dary.
-DynamicScheduleTotals pull_schedule_reference(ScheduleState& state,
-                                              std::span<const double> tasks);
+/// next task, ties to the smallest host index. A std::priority_queue
+/// seeded from the state's current free_at (a pre-advanced state
+/// continues where it left off); updates state in place.
+DynamicScheduleTotals pull_schedule(ScheduleState& state,
+                                    std::span<const double> tasks);
 
 }  // namespace resmodel::sim

@@ -86,6 +86,9 @@ constexpr std::uint32_t kMaxColumnName = 256;
 constexpr std::uint32_t kMaxColumns = 4096;
 constexpr std::uint32_t kMaxMetadataEntries = 4096;
 constexpr std::uint32_t kMaxMetadataLen = 1 << 20;
+/// One footer block-index entry: column (u32), shard, offset, rows and
+/// payload length (u64 each), CRC (u32).
+constexpr std::size_t kFooterEntryBytes = 40;
 
 /// 32-byte block header as raw bytes (magic, column, shard, rows,
 /// payload length), shared by writer and reader so the CRC covers the
@@ -472,9 +475,19 @@ void SnapshotReader::probe_footer() {
   const std::uint64_t shards = r.u64();
   const std::uint32_t block_count = r.u32();
   const std::uint32_t metadata_count = r.u32();
+  // A CRC is no MAC: a forged footer can carry a valid checksum. Bound
+  // the index by the bytes that actually hold it before reserving.
+  if (!r.ok() || block_count > r.remaining / kFooterEntryBytes) {
+    footer_errc_ = StoreErrc::kFooterCorrupt;
+    footer_detail_ = "footer block count exceeds the footer's length";
+    return;
+  }
   std::vector<BlockRef> blocks;
   blocks.reserve(block_count);
-  bool sane = r.ok() && metadata_count <= kMaxMetadataEntries;
+  // Every column's blocks must add up to the footer's row total, which
+  // sizes read_all's and read_recovering's column buffers.
+  std::vector<std::uint64_t> column_rows(schema_.size(), 0);
+  bool sane = metadata_count <= kMaxMetadataEntries;
   for (std::uint32_t i = 0; sane && i < block_count; ++i) {
     BlockRef b;
     b.column = r.u32();
@@ -487,8 +500,13 @@ void SnapshotReader::probe_footer() {
            b.offset >= data_begin_ &&
            block_fits(b.offset, b.payload_bytes, footer_offset) &&
            payload_holds_rows(b.payload_bytes, b.rows,
-                              schema_[b.column].dtype);
+                              schema_[b.column].dtype) &&
+           b.rows <= rows - column_rows[b.column];
+    if (sane) column_rows[b.column] += b.rows;
     blocks.push_back(b);
+  }
+  for (std::size_t c = 0; sane && c < column_rows.size(); ++c) {
+    sane = column_rows[c] == rows;
   }
   std::vector<std::pair<std::string, std::string>> metadata;
   for (std::uint32_t i = 0; sane && i < metadata_count; ++i) {

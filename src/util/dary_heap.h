@@ -1,6 +1,5 @@
-// The one flat d-ary (d = 4) min-heap of the library: the service
-// engine's virtual-time event queue (engine::EventHeap) and the dynamic
-// pull scheduler's idle-host queue (sim::PullHeap) are both instances.
+// The one flat d-ary (d = 4) min-heap of the library, behind the service
+// engine's virtual-time event queue (engine::EventHeap).
 //
 // Four children per node means half the tree depth of a binary heap, and
 // a sift-down compares children that sit in one cache line of 16-byte

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -203,37 +204,36 @@ TEST(KernelArms, RowBoundsArgminReturnsFirstMinimum) {
 /// variety (target below / above each level cut) and trailing pad lanes
 /// exactly as BoundGate packs them (inv = 0, sess/ready/next = +inf,
 /// accr = 0).
-template <typename Real>
 struct GateBlockFixture {
   static constexpr std::size_t kLevels = 3;
-  Real inv[kKernelBlock];
-  Real sess[kKernelBlock];
-  Real ready[kKernelBlock];
-  Real next[kKernelBlock];
-  Real accr[kKernelBlock];
-  Real c[kLevels][kKernelBlock];
-  Real phi[kLevels][kKernelBlock];
+  float inv[kKernelBlock];
+  float sess[kKernelBlock];
+  float ready[kKernelBlock];
+  float next[kKernelBlock];
+  float accr[kKernelBlock];
+  float c[kLevels][kKernelBlock];
+  float phi[kLevels][kKernelBlock];
 
   explicit GateBlockFixture(std::uint64_t seed, std::size_t live) {
     util::Rng rng(seed);
-    constexpr Real inf = std::numeric_limits<Real>::infinity();
+    constexpr float inf = std::numeric_limits<float>::infinity();
     for (std::size_t i = 0; i < kKernelBlock; ++i) {
       if (i < live) {
-        inv[i] = static_cast<Real>(0.001 + rng.uniform() * 0.01);
-        sess[i] = static_cast<Real>(rng.uniform() * 4.0);
-        ready[i] = static_cast<Real>(rng.uniform() * 10.0);
-        next[i] = ready[i] + static_cast<Real>(rng.uniform() * 5.0);
-        accr[i] = static_cast<Real>(rng.uniform() * 2.0);
+        inv[i] = static_cast<float>(0.001 + rng.uniform() * 0.01);
+        sess[i] = static_cast<float>(rng.uniform() * 4.0);
+        ready[i] = static_cast<float>(rng.uniform() * 10.0);
+        next[i] = ready[i] + static_cast<float>(rng.uniform() * 5.0);
+        accr[i] = static_cast<float>(rng.uniform() * 2.0);
         for (std::size_t k = 0; k < kLevels; ++k) {
-          c[k][i] = accr[i] + static_cast<Real>(k) +
-                    static_cast<Real>(rng.uniform());
-          phi[k][i] = ready[i] + static_cast<Real>(k) * Real(2) +
-                      static_cast<Real>(rng.uniform());
+          c[k][i] = accr[i] + static_cast<float>(k) +
+                    static_cast<float>(rng.uniform());
+          phi[k][i] = ready[i] + static_cast<float>(k) * 2.0f +
+                      static_cast<float>(rng.uniform());
         }
       } else {
-        inv[i] = Real(0);
+        inv[i] = 0.0f;
         sess[i] = ready[i] = next[i] = inf;
-        accr[i] = Real(0);
+        accr[i] = 0.0f;
         for (std::size_t k = 0; k < kLevels; ++k) {
           c[k][i] = inf;
           phi[k][i] = inf;
@@ -242,8 +242,8 @@ struct GateBlockFixture {
     }
   }
 
-  GateBlockView<Real> view(bool checkpoint) const {
-    GateBlockView<Real> v;
+  GateBlockView view(bool checkpoint) const {
+    GateBlockView v;
     v.inv = inv;
     v.sess = sess;
     v.ready = ready;
@@ -259,31 +259,22 @@ struct GateBlockFixture {
   }
 };
 
-template <typename Real>
-void expect_gate_sweeps_match() {
+TEST(KernelArms, GateSweepMatchesBlocked) {
   const KernelOps& blocked = kernel_ops(SimdLevel::kNone);
   for (const std::size_t live : {kKernelBlock, std::size_t{41}}) {
-    const GateBlockFixture<Real> fx(live * 31 + 7, live);
+    const GateBlockFixture fx(live * 31 + 7, live);
     for (const bool checkpoint : {true, false}) {
-      const GateBlockView<Real> v = fx.view(checkpoint);
-      for (const Real task : {Real(50), Real(900)}) {
-        Real want[kKernelBlock];
-        if constexpr (std::is_same_v<Real, float>) {
-          blocked.gate_sweep_f32(v, task, want);
-        } else {
-          blocked.gate_sweep_f64(v, task, want);
-        }
+      const GateBlockView v = fx.view(checkpoint);
+      for (const float task : {50.0f, 900.0f}) {
+        float want[kKernelBlock];
+        blocked.gate_sweep(v, task, want);
         // Pad lanes must bound to +inf through every arm.
         for (std::size_t i = live; i < kKernelBlock; ++i) {
-          EXPECT_EQ(want[i], std::numeric_limits<Real>::infinity());
+          EXPECT_EQ(want[i], std::numeric_limits<float>::infinity());
         }
         for (const SimdLevel level : testable_levels()) {
-          Real got[kKernelBlock];
-          if constexpr (std::is_same_v<Real, float>) {
-            kernel_ops(level).gate_sweep_f32(v, task, got);
-          } else {
-            kernel_ops(level).gate_sweep_f64(v, task, got);
-          }
+          float got[kKernelBlock];
+          kernel_ops(level).gate_sweep(v, task, got);
           for (std::size_t i = 0; i < kKernelBlock; ++i) {
             EXPECT_EQ(got[i], want[i])
                 << to_string(level) << (checkpoint ? " ckpt" : " restart")
@@ -295,16 +286,8 @@ void expect_gate_sweeps_match() {
   }
 }
 
-TEST(KernelArms, GateSweepFloat32MatchesBlocked) {
-  expect_gate_sweeps_match<float>();
-}
-
-TEST(KernelArms, GateSweepFloat64MatchesBlocked) {
-  expect_gate_sweeps_match<double>();
-}
-
-TEST(KernelArms, ScorePackMatchesBlockedIncludingSignsAndTies) {
-  const std::size_t n = 101;  // odd tail for the 4/8-wide sweeps
+TEST(ScorePack, TiedHostsShareKeyAndSignedZerosNormalize) {
+  const std::size_t n = 101;
   std::vector<double> cols[5];
   util::Rng rng(45);
   for (auto& col : cols) {
@@ -313,32 +296,43 @@ TEST(KernelArms, ScorePackMatchesBlockedIncludingSignsAndTies) {
   }
   // Planted exact ties: hosts 10 and 90 identical in every column.
   for (auto& col : cols) col[90] = col[10];
-  const KernelOps& blocked = kernel_ops(SimdLevel::kNone);
-  const ScoreWeights weight_sets[] = {
-      {{0.25, 0.1, 0.3, 0.2, 0.15}},
-      {{1.0, 0.0, 0.0, 0.0, 0.0}},
-      // All-zero weights: every score is a signed zero — the key must
-      // normalize -0.0 and +0.0 onto one key in every arm.
-      {{0.0, 0.0, 0.0, 0.0, 0.0}},
+  // Host 7 is negative in every column and host 8 positive in every
+  // column, so zero weights give them -0.0 and +0.0.
+  for (auto& col : cols) {
+    col[7] = -std::abs(col[7]) - 1.0;
+    col[8] = std::abs(col[8]) + 1.0;
+  }
+  std::vector<double> score(n);
+  std::vector<std::uint64_t> pref(n);
+  const auto pack = [&](const ScoreWeights& w) {
+    score_pack(cols[0].data(), cols[1].data(), cols[2].data(),
+               cols[3].data(), cols[4].data(), w, n, score.data(),
+               pref.data());
   };
-  for (const ScoreWeights& w : weight_sets) {
-    std::vector<double> want_score(n), got_score(n);
-    std::vector<std::uint64_t> want_pref(n), got_pref(n);
-    blocked.score_pack(cols[0].data(), cols[1].data(), cols[2].data(),
-                       cols[3].data(), cols[4].data(), w, n,
-                       want_score.data(), want_pref.data());
-    // Tied hosts share the key half; low halves are the host indices.
-    EXPECT_EQ(want_pref[10] >> 32, want_pref[90] >> 32);
-    EXPECT_EQ(want_pref[10] & 0xFFFFFFFFull, 10u);
-    EXPECT_EQ(want_pref[90] & 0xFFFFFFFFull, 90u);
-    for (const SimdLevel level : testable_levels()) {
-      kernel_ops(level).score_pack(cols[0].data(), cols[1].data(),
-                                   cols[2].data(), cols[3].data(),
-                                   cols[4].data(), w, n, got_score.data(),
-                                   got_pref.data());
-      EXPECT_EQ(got_score, want_score) << to_string(level);
-      EXPECT_EQ(got_pref, want_pref) << to_string(level);
-    }
+  pack({{0.25, 0.1, 0.3, 0.2, 0.15}});
+  // Tied hosts share the key half; low halves are the host indices.
+  EXPECT_EQ(pref[10] >> 32, pref[90] >> 32);
+  for (std::size_t h = 0; h < n; ++h) EXPECT_EQ(pref[h] & 0xFFFFFFFFull, h);
+  // Ascending keys walk the scores in descending float order, ties by
+  // ascending host index.
+  std::vector<std::uint64_t> sorted = pref;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto a = static_cast<std::size_t>(sorted[i - 1] & 0xFFFFFFFFull);
+    const auto b = static_cast<std::size_t>(sorted[i] & 0xFFFFFFFFull);
+    const float fa = static_cast<float>(score[a]);
+    const float fb = static_cast<float>(score[b]);
+    EXPECT_GE(fa, fb) << "hosts " << a << ", " << b;
+    if (fa == fb) EXPECT_LT(a, b);
+  }
+  // All-zero weights: every score is a signed zero, and both zeros must
+  // share one key.
+  pack({{0.0, 0.0, 0.0, 0.0, 0.0}});
+  ASSERT_EQ(score[7], 0.0);
+  ASSERT_TRUE(std::signbit(score[7]));
+  ASSERT_FALSE(std::signbit(score[8]));
+  for (std::size_t h = 0; h < n; ++h) {
+    EXPECT_EQ(pref[h] >> 32, pref[8] >> 32) << "host " << h;
   }
 }
 
@@ -417,12 +411,12 @@ TEST(EctGoldens, AllBackendsMatchReferenceAcrossPopulations) {
 }
 
 // ---------------------------------------------------------------------
-// Churn schedule goldens: arms x interruption policies x column
-// precision vs the scalar full-scan oracle, counters included where the
-// contract pins them (swept blocks / resolved lanes are kernel-shape
-// telemetry: identical for every non-scalar arm).
+// Churn schedule goldens: arms x interruption policies vs the scalar
+// full-scan oracle, counters included where the contract pins them
+// (swept blocks / resolved lanes are kernel-shape telemetry: identical
+// for every non-scalar arm).
 
-TEST(ChurnGoldens, AllBackendsMatchReferenceAcrossPoliciesAndPrecision) {
+TEST(ChurnGoldens, AllBackendsMatchReferenceAcrossPolicies) {
   const std::size_t hosts = 300;
   const std::vector<double> rates = random_rates(hosts, 9);
   const std::vector<double> tasks = random_tasks(600, 10);
@@ -435,41 +429,37 @@ TEST(ChurnGoldens, AllBackendsMatchReferenceAcrossPoliciesAndPrecision) {
       churn::InterruptionPolicy::kAbandon,
   };
   for (const churn::InterruptionPolicy policy : kPolicies) {
-    for (const bool float32 : {true, false}) {
-      churn::ChurnSchedulerConfig config;
-      config.float32_columns = float32;
-      sim::ScheduleState ref_state = sim::ScheduleState::from_rates(rates);
-      churn::ChurnScheduler ref(ref_state, timeline, config);
-      const churn::ChurnScheduleTotals want = ref.run_reference(tasks, policy);
-      // The blocked arm's counters are the shape baseline the SIMD arms
-      // must reproduce exactly — so it runs first.
-      std::uint64_t blocked_swept = 0, blocked_lanes = 0;
-      for (const Backend b : {Backend::kBlocked, Backend::kScalar,
-                              Backend::kAuto, Backend::kSimd}) {
-        config.backend = b;
-        sim::ScheduleState state = sim::ScheduleState::from_rates(rates);
-        churn::ChurnScheduler sched(state, timeline, config);
-        const churn::ChurnScheduleTotals got = sched.run(tasks, policy);
-        const std::string label = to_string(policy) + (float32 ? "/f32" : "/f64") +
-                                  "/" + to_string(b);
-        EXPECT_EQ(got.makespan_days, want.makespan_days) << label;
-        EXPECT_EQ(got.total_cpu_days, want.total_cpu_days) << label;
-        EXPECT_EQ(got.wasted_cpu_days, want.wasted_cpu_days) << label;
-        EXPECT_EQ(got.interruptions, want.interruptions) << label;
-        for (std::size_t h = 0; h < hosts; ++h) {
-          ASSERT_EQ(state.free_at[h], ref_state.free_at[h])
-              << label << " host " << h;
-          ASSERT_EQ(state.busy_days[h], ref_state.busy_days[h])
-              << label << " host " << h;
-        }
-        if (b == Backend::kBlocked) {
-          blocked_swept = got.swept_blocks;
-          blocked_lanes = got.resolved_lanes;
-        } else if (b != Backend::kScalar) {
-          // kAuto / kSimd: identical pruning shape, not just results.
-          EXPECT_EQ(got.swept_blocks, blocked_swept) << label;
-          EXPECT_EQ(got.resolved_lanes, blocked_lanes) << label;
-        }
+    churn::ChurnSchedulerConfig config;
+    sim::ScheduleState ref_state = sim::ScheduleState::from_rates(rates);
+    churn::ChurnScheduler ref(ref_state, timeline, config);
+    const churn::ChurnScheduleTotals want = ref.run_reference(tasks, policy);
+    // The blocked arm's counters are the shape baseline the SIMD arms
+    // must reproduce exactly — so it runs first.
+    std::uint64_t blocked_swept = 0, blocked_lanes = 0;
+    for (const Backend b : {Backend::kBlocked, Backend::kScalar,
+                            Backend::kAuto, Backend::kSimd}) {
+      config.backend = b;
+      sim::ScheduleState state = sim::ScheduleState::from_rates(rates);
+      churn::ChurnScheduler sched(state, timeline, config);
+      const churn::ChurnScheduleTotals got = sched.run(tasks, policy);
+      const std::string label = to_string(policy) + "/" + to_string(b);
+      EXPECT_EQ(got.makespan_days, want.makespan_days) << label;
+      EXPECT_EQ(got.total_cpu_days, want.total_cpu_days) << label;
+      EXPECT_EQ(got.wasted_cpu_days, want.wasted_cpu_days) << label;
+      EXPECT_EQ(got.interruptions, want.interruptions) << label;
+      for (std::size_t h = 0; h < hosts; ++h) {
+        ASSERT_EQ(state.free_at[h], ref_state.free_at[h])
+            << label << " host " << h;
+        ASSERT_EQ(state.busy_days[h], ref_state.busy_days[h])
+            << label << " host " << h;
+      }
+      if (b == Backend::kBlocked) {
+        blocked_swept = got.swept_blocks;
+        blocked_lanes = got.resolved_lanes;
+      } else if (b != Backend::kScalar) {
+        // kAuto / kSimd: identical pruning shape, not just results.
+        EXPECT_EQ(got.swept_blocks, blocked_swept) << label;
+        EXPECT_EQ(got.resolved_lanes, blocked_lanes) << label;
       }
     }
   }

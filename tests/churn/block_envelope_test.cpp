@@ -50,20 +50,9 @@ constexpr InterruptionPolicy kGatedPolicies[] = {
     InterruptionPolicy::kRestart,
 };
 
-struct GateVariant {
-  GateMode mode;
-  bool float32;
-  std::size_t levels;
-};
-
-const GateVariant kVariants[] = {
-    {GateMode::kEnvelope, true, 8},   // shipping default
-    {GateMode::kEnvelope, false, 8},
-    {GateMode::kBucket, false, 8},
-    {GateMode::kEnvelope, true, 1},   // minimum lookahead
-    {GateMode::kEnvelope, true, 3},
-    {GateMode::kBucket, true, 4},
-};
+// Lookahead depths the soundness sweep covers: the shipping default,
+// the minimum, and two shallow depths.
+constexpr std::size_t kLevelVariants[] = {8, 1, 3, 4};
 
 /// Asserts, for every host and probe task, lane/envelope/coarse bound
 /// soundness against the exact completion of the CURRENT cursor state.
@@ -71,7 +60,7 @@ void expect_gate_sound(ChurnScheduler& sched, sim::ScheduleState& state,
                        InterruptionPolicy policy,
                        std::span<const double> probes) {
   const BoundGate& gate = sched.gate();
-  const double margin = gate.margin();
+  constexpr double margin = BoundGate::margin();
   constexpr std::size_t kBlock = sim::ScheduleState::kBlockSize;
   for (const double task : probes) {
     std::vector<double> block_min(state.block_count(),
@@ -103,14 +92,12 @@ TEST(BoundGate, AllBoundsSoundOnFreshState) {
   const std::vector<double> rates = random_rates(n, 11);
   const IntervalTimeline timeline = model_timeline(n, 12);
   const std::vector<double> tasks = random_tasks(64, 13);
-  for (const GateVariant& variant : kVariants) {
+  for (const std::size_t levels : kLevelVariants) {
     for (const InterruptionPolicy policy : kGatedPolicies) {
       sim::ScheduleState state =
           sim::ScheduleState::from_rates(std::vector<double>(rates));
       ChurnSchedulerConfig config;
-      config.gate_mode = variant.mode;
-      config.float32_columns = variant.float32;
-      config.lookahead_levels = variant.levels;
+      config.lookahead_levels = levels;
       ChurnScheduler sched(state, timeline, config);
       sched.prime_gate_for_test(tasks, policy);
       expect_gate_sound(sched, state, policy, tasks);
@@ -134,21 +121,17 @@ TEST(BoundGate, BoundsStaySoundThroughStalenessEpochs) {
                                                  23);
   const std::vector<double> probes = random_tasks(32, 24);
   for (const InterruptionPolicy policy : kGatedPolicies) {
-    for (const bool f32 : {true, false}) {
-      sim::ScheduleState state =
-          sim::ScheduleState::from_rates(std::vector<double>(rates));
-      ChurnSchedulerConfig config;
-      config.float32_columns = f32;
-      ChurnScheduler sched(state, timeline, config);
-      sched.run(tasks, policy);
-      // Probes must lie inside the run's bucket range for coarse-row
-      // queries (same sampler, so they do).
-      expect_gate_sound(sched, state, policy, probes);
-    }
+    sim::ScheduleState state =
+        sim::ScheduleState::from_rates(std::vector<double>(rates));
+    ChurnScheduler sched(state, timeline, {});
+    sched.run(tasks, policy);
+    // Probes must lie inside the run's bucket range for coarse-row
+    // queries (same sampler, so they do).
+    expect_gate_sound(sched, state, policy, probes);
   }
 }
 
-TEST(BoundGate, EnvelopeHasKnotsAndBucketDoesNot) {
+TEST(BoundGate, EnvelopeKnotsWithinCapacity) {
   const std::size_t n = 130;
   const std::vector<double> rates = random_rates(n, 31);
   const IntervalTimeline timeline = model_timeline(n, 32);
@@ -158,20 +141,11 @@ TEST(BoundGate, EnvelopeHasKnotsAndBucketDoesNot) {
       sim::ScheduleState::from_rates(std::vector<double>(rates));
   ChurnScheduler sched(state, timeline, {});
   sched.prime_gate_for_test(tasks, InterruptionPolicy::kCheckpoint);
-  ASSERT_EQ(sched.gate().mode(), GateMode::kEnvelope);
   for (std::size_t b = 0; b < state.block_count(); ++b) {
     const std::size_t knots = sched.gate().knot_count(b);
     EXPECT_GE(knots, 1u);  // the t = 0 anchor at least
     EXPECT_LE(knots, BoundGate::kKnotCapacity);
   }
-
-  sim::ScheduleState bstate =
-      sim::ScheduleState::from_rates(std::vector<double>(rates));
-  ChurnSchedulerConfig bucket;
-  bucket.gate_mode = GateMode::kBucket;
-  ChurnScheduler bsched(bstate, timeline, bucket);
-  bsched.prime_gate_for_test(tasks, InterruptionPolicy::kCheckpoint);
-  EXPECT_EQ(bsched.gate().knot_count(0), 0u);
 }
 
 TEST(BoundGate, BucketEdgesCoverEveryPositiveTask) {

@@ -88,8 +88,8 @@ std::vector<double> random_tasks(std::size_t n, std::uint64_t seed) {
 }
 
 /// Blocked-vs-reference golden check at one kernel configuration: every
-/// gate mode and column precision must reproduce the scalar oracle's
-/// schedule bit for bit (the config trades pruning power, never results).
+/// lookahead depth must reproduce the scalar oracle's schedule bit for
+/// bit (the config trades pruning power, never results).
 void expect_run_identical(std::vector<double> rates,
                           const IntervalTimeline& timeline,
                           const std::vector<double>& tasks,
@@ -118,21 +118,17 @@ constexpr InterruptionPolicy kAllPolicies[] = {
 };
 
 /// The kernel configurations the golden suites cycle through: the
-/// shipping default (envelope gate, float32 columns, 8 levels), each
-/// ablation arm, and the lookahead extremes.
+/// shipping default (8 levels) and the lookahead extremes.
 std::vector<ChurnSchedulerConfig> golden_configs() {
-  std::vector<ChurnSchedulerConfig> configs(5);
-  configs[1].float32_columns = false;
-  configs[2].gate_mode = GateMode::kBucket;
-  configs[2].float32_columns = false;
-  configs[3].lookahead_levels = 1;
-  configs[4].lookahead_levels = kMaxLookaheadLevels;
+  std::vector<ChurnSchedulerConfig> configs(3);
+  configs[1].lookahead_levels = 1;
+  configs[2].lookahead_levels = kMaxLookaheadLevels;
   return configs;
 }
 
 TEST(ChurnScheduler, BlockedBitIdenticalToReference) {
   // A few hundred hosts spans multiple pruning blocks; heterogeneous
-  // rates make the bound bite. Every gate configuration must match the
+  // rates make the bound bite. Every lookahead depth must match the
   // oracle exactly.
   const std::vector<double> rates = random_rates(300, 31);
   const IntervalTimeline timeline = model_timeline(300, 32);
@@ -199,9 +195,6 @@ TEST(ChurnScheduler, GoldenStaleEnvelopeEpochs) {
       random_tasks(churn::BoundGate::kStaleLimit * 40, 153);
   for (const InterruptionPolicy policy : kAllPolicies) {
     expect_run_identical(rates, timeline, tasks, policy);
-    ChurnSchedulerConfig f64;
-    f64.float32_columns = false;
-    expect_run_identical(rates, timeline, tasks, policy, f64);
   }
 }
 

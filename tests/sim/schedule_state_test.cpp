@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -355,140 +354,21 @@ TEST(SpeedWeightedKernels, DealsInRateProportion) {
   EXPECT_NEAR(totals.total_cpu_days, 200.0, 1e-9);
 }
 
-// The pull kernels' seeding: one (keys[h], h) entry per host.
-std::vector<PullEntry> key_seeded(std::span<const double> keys) {
-  std::vector<PullEntry> entries(keys.size());
-  for (std::size_t h = 0; h < keys.size(); ++h) entries[h] = {keys[h], h};
-  return entries;
-}
-
-PullHeap zero_seeded(std::size_t hosts) {
-  PullHeap heap;
-  heap.build(key_seeded(std::vector<double>(hosts, 0.0)));
-  return heap;
-}
-
-TEST(PullHeap, InitialSeedPopsHostsInOrder) {
-  PullHeap heap = zero_seeded(100);
-  for (std::size_t h = 0; h < 100; ++h) {
-    const PullEntry e = heap.pop_min();
-    EXPECT_EQ(e.key, 0.0);
-    EXPECT_EQ(e.host, h);
-  }
-  EXPECT_TRUE(heap.empty());
-}
-
-TEST(PullHeap, MatchesPriorityQueueOracle) {
-  // Random interleaved push/pop against the STL oracle, with keys drawn
-  // from a tiny set so key ties (broken by host id) are constant.
-  using OracleEntry = std::pair<double, std::uint64_t>;
-  std::priority_queue<OracleEntry, std::vector<OracleEntry>, std::greater<>>
-      oracle;
-  PullHeap heap;
-  util::Rng rng(21);
-  std::uint64_t next_host = 0;
-  for (int op = 0; op < 4000; ++op) {
-    if (heap.empty() || rng.uniform() < 0.55) {
-      const double key = static_cast<double>(rng.uniform_index(8));
-      heap.push({key, next_host});
-      oracle.push({key, next_host});
-      ++next_host;
-    } else {
-      const PullEntry got = heap.pop_min();
-      const OracleEntry want = oracle.top();
-      oracle.pop();
-      EXPECT_EQ(got.key, want.first);
-      EXPECT_EQ(got.host, want.second);
-    }
-  }
-  while (!heap.empty()) {
-    const PullEntry got = heap.pop_min();
-    const OracleEntry want = oracle.top();
-    oracle.pop();
-    EXPECT_EQ(got.key, want.first);
-    EXPECT_EQ(got.host, want.second);
-  }
-  EXPECT_TRUE(oracle.empty());
-}
-
-TEST(PullHeap, ReplaceMinEquivalentToPopPush) {
-  PullHeap fused = zero_seeded(50);
-  PullHeap two_step = zero_seeded(50);
-  util::Rng rng(22);
-  for (int op = 0; op < 500; ++op) {
-    const double key = rng.uniform() * 10.0;
-    const std::uint64_t host = fused.min().host;
-    fused.replace_min({key, host});
-    const PullEntry popped = two_step.pop_min();
-    EXPECT_EQ(popped.host, host);
-    two_step.push({key, host});
-  }
-  while (!fused.empty()) {
-    const PullEntry a = fused.pop_min();
-    const PullEntry b = two_step.pop_min();
-    EXPECT_EQ(a.key, b.key);
-    EXPECT_EQ(a.host, b.host);
-  }
-  EXPECT_TRUE(two_step.empty());
-}
-
-TEST(PullHeap, KeySeededConstructorHeapifies) {
-  util::Rng rng(23);
-  std::vector<double> keys(137);
-  for (double& k : keys) k = static_cast<double>(rng.uniform_index(16));
-  PullHeap from_keys;
-  from_keys.build(key_seeded(keys));
-  PullHeap pushed;
-  for (std::size_t h = 0; h < keys.size(); ++h) {
-    pushed.push({keys[h], h});
-  }
-  while (!from_keys.empty()) {
-    const PullEntry a = from_keys.pop_min();
-    const PullEntry b = pushed.pop_min();
-    EXPECT_EQ(a.key, b.key);
-    EXPECT_EQ(a.host, b.host);
-  }
-  EXPECT_TRUE(pushed.empty());
-}
-
 TEST(PullKernels, HonorPreAdvancedFreeAt) {
-  // A state mid-run (non-zero free_at) continues where it left off: both
-  // kernels seed their heaps from the free_at column, so a busy host only
+  // A state mid-run (non-zero free_at) continues where it left off: the
+  // kernel seeds its heap from the free_at column, so a busy host only
   // pulls again once it goes idle.
   const std::vector<double> rates(10, 100.0);
   const std::vector<double> tasks = {100.0};
-  ScheduleState dary = ScheduleState::from_rates(rates);
-  ScheduleState reference = ScheduleState::from_rates(rates);
+  ScheduleState state = ScheduleState::from_rates(rates);
   for (std::size_t h = 0; h < rates.size(); ++h) {
-    dary.free_at[h] = reference.free_at[h] = 5.0 + static_cast<double>(h);
+    state.free_at[h] = 5.0 + static_cast<double>(h);
   }
-  const DynamicScheduleTotals td = pull_schedule_dary(dary, tasks);
-  const DynamicScheduleTotals tr = pull_schedule_reference(reference, tasks);
+  const DynamicScheduleTotals totals = pull_schedule(state, tasks);
   // Host 0 is the earliest-available (free at day 5) and the task takes
   // one day on it.
-  EXPECT_EQ(td.makespan_days, 6.0);
-  EXPECT_EQ(tr.makespan_days, 6.0);
-  EXPECT_EQ(dary.free_at[0], 6.0);
-  EXPECT_EQ(reference.free_at[0], 6.0);
-}
-
-TEST(PullKernels, DaryMatchesPriorityQueueBitForBit) {
-  for (const std::size_t hosts :
-       {std::size_t{1}, std::size_t{64}, std::size_t{300}}) {
-    const std::vector<double> rates = random_rates(hosts, 31 + hosts);
-    const std::vector<double> tasks = random_tasks(800, 33);
-    ScheduleState dary = ScheduleState::from_rates(rates);
-    ScheduleState reference = ScheduleState::from_rates(rates);
-    const DynamicScheduleTotals td = pull_schedule_dary(dary, tasks);
-    const DynamicScheduleTotals tr = pull_schedule_reference(reference, tasks);
-    EXPECT_EQ(td.makespan_days, tr.makespan_days) << hosts << " hosts";
-    EXPECT_EQ(td.total_cpu_days, tr.total_cpu_days) << hosts << " hosts";
-    ASSERT_EQ(dary.size(), reference.size());
-    for (std::size_t h = 0; h < hosts; ++h) {
-      EXPECT_EQ(dary.free_at[h], reference.free_at[h]);
-      EXPECT_EQ(dary.busy_days[h], reference.busy_days[h]);
-    }
-  }
+  EXPECT_EQ(totals.makespan_days, 6.0);
+  EXPECT_EQ(state.free_at[0], 6.0);
 }
 
 }  // namespace

@@ -307,9 +307,10 @@ TEST(FaultRecovery, CorruptionIsAlwaysDetectedAndExactlyAccounted) {
   }
 }
 
-/// Hand-forged footerless snapshot with one column "x": lets a test put
-/// lengths into block headers that the writer would never produce, with
-/// valid checksums so only the reader's bounds checks stand in the way.
+/// Hand-forged snapshot with one column "x", footerless unless a test
+/// calls finish(): lets a test put lengths into block headers and footers
+/// that the writer would never produce, with valid checksums so only the
+/// reader's bounds checks stand in the way.
 struct ForgedFile {
   std::string bytes;
 
@@ -347,13 +348,44 @@ struct ForgedFile {
     u64(payload_bytes);
     return at;
   }
-  /// Appends `payload` and the checksum frame of the block at `at`.
-  void seal(std::size_t at, const std::string& payload) {
+  /// Appends `payload` and the checksum frame of the block at `at`;
+  /// returns the block's CRC.
+  std::uint32_t seal(std::size_t at, const std::string& payload) {
     bytes += payload;
     std::uint32_t crc = util::crc32c(bytes.data() + at, kBlockHeaderBytes);
     crc = util::crc32c(payload.data(), payload.size(), crc);
     u32(crc);
     u32(~crc);
+    return crc;
+  }
+  /// One column-0 block-index entry of a forged footer.
+  struct IndexEntry {
+    std::uint64_t shard, offset, rows, payload_bytes;
+    std::uint32_t crc;
+  };
+  /// Appends a footer claiming `rows` rows and `block_count` index
+  /// entries (of which `entries` are written), then a trailer framing it
+  /// with a matching footer CRC, as the writer's finish() would.
+  void finish(std::uint64_t rows, std::uint32_t block_count,
+              const std::vector<IndexEntry>& entries) {
+    const std::size_t footer_at = bytes.size();
+    u64(rows);
+    u64(entries.size());  // shards
+    u32(block_count);
+    u32(0);  // metadata entries
+    for (const IndexEntry& e : entries) {
+      u32(0);
+      u64(e.shard);
+      u64(e.offset);
+      u64(e.rows);
+      u64(e.payload_bytes);
+      u32(e.crc);
+    }
+    const std::size_t footer_len = bytes.size() - footer_at;
+    u64(footer_at);
+    u32(static_cast<std::uint32_t>(footer_len));
+    u32(util::crc32c(bytes.data() + footer_at, footer_len));
+    u64(kTrailerMagic);
   }
   std::string write(const std::string& name) const {
     const std::string path = temp_path(name);
@@ -429,6 +461,51 @@ TEST(FaultRecovery, WrappingRowCountIsNotABlock) {
   EXPECT_EQ(report.tail_bytes_unscanned, file.bytes.size() - data_begin);
   EXPECT_EQ(SnapshotReader(path).verify().report.blocks_loaded, 0u);
   std::remove(path.c_str());
+}
+
+/// One intact 64-row u8 block, indexed by a CRC-valid forged footer.
+ForgedFile file_with_forged_footer(std::uint64_t rows,
+                                   std::uint32_t block_count) {
+  constexpr std::uint64_t kRows = 64;
+  ForgedFile file(DType::kU8);
+  const std::size_t at = file.block_header(0, kRows, kRows);
+  const std::uint32_t crc = file.seal(at, std::string(kRows, 'p'));
+  file.finish(rows, block_count, {{0, at, kRows, kRows, crc}});
+  return file;
+}
+
+/// The forged footer is rejected with a typed cause; the intact block
+/// is still recovered by the forward scan.
+void expect_forged_footer_rejected(const ForgedFile& file,
+                                   const std::string& name) {
+  const std::string path = file.write(name);
+  SnapshotReader reader(path);
+  try {
+    reader.read_all();
+    ADD_FAILURE() << "read_all accepted a forged footer";
+  } catch (const StoreError& e) {
+    EXPECT_EQ(e.errc(), StoreErrc::kFooterCorrupt) << to_string(e.errc());
+  }
+  ReadReport report;
+  const Snapshot snap = reader.read_recovering(report);
+  EXPECT_FALSE(report.footer_intact);
+  EXPECT_EQ(report.blocks_loaded, 1u);
+  EXPECT_EQ(snap.rows, 64u);
+  std::remove(path.c_str());
+}
+
+// A footer whose index claims 2^32 - 1 entries while holding one: the
+// reader must not reserve 2^32 index slots (~200 GB) on its say-so.
+TEST(FaultRecovery, ForgedFooterBlockCountIsBoundedByFooterLength) {
+  expect_forged_footer_rejected(file_with_forged_footer(64, 0xffffffffu),
+                                "forged_block_count.snap");
+}
+
+// A footer whose row total (2^50) disagrees with its block index: it
+// must not size the read buffers (a petabyte per column).
+TEST(FaultRecovery, ForgedFooterRowTotalMustMatchBlockIndex) {
+  expect_forged_footer_rejected(file_with_forged_footer(1ull << 50, 1),
+                                "forged_row_total.snap");
 }
 
 }  // namespace

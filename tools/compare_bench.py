@@ -17,7 +17,11 @@ exports a compared metric (a new arm with no recorded baseline yet) is
 warned about and skipped until a BENCH record holds it. By default the
 compared metrics are real_time plus every numeric per-benchmark counter
 the two entries share; --counters restricts the comparison to the named
-metrics only. A metric has REGRESSED when new > old * (1 + threshold) —
+metrics only. A record run with --benchmark_repetitions (tools/
+run_bench.sh records 3) contributes its ``median`` aggregate row, so
+times and timing-derived rates (items_per_second, bytes_per_second) are
+medians; the median of a deterministic counter is the counter itself.
+A metric has REGRESSED when new > old * (1 + threshold) —
 all the exported metrics (times, swept blocks, resolved lanes,
 makespans) are higher-is-worse. Exit status: 0 clean, 1 regressions found, 2 usage /
 input error.
@@ -54,17 +58,25 @@ def fail(message):
 
 
 def try_load_benchmarks(path):
-    """Parse one benchmark JSON file; return (table, error_string)."""
+    """Parse one benchmark JSON file; return (table, error_string).
+
+    Each benchmark's entry is its ``median`` aggregate row when the run
+    had repetitions, else its iteration row. Other aggregates (mean,
+    stddev, cv) are ignored.
+    """
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         return None, f"cannot read '{path}': {e}"
     table = {}
+    medians = {}
     for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        table[bench["name"]] = bench
+        if bench.get("run_type") != "aggregate":
+            table[bench["name"]] = bench
+        elif bench.get("aggregate_name") == "median":
+            medians[bench["run_name"]] = bench
+    table.update(medians)
     if not table:
         return None, f"no benchmarks in '{path}'"
     return table, None

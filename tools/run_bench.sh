@@ -6,6 +6,9 @@
 #
 # Output lands in bench_results/BENCH_<utc-date>_<git-sha>.json so
 # successive PRs accumulate a comparable series (same machine assumed).
+# Every benchmark runs 3 times (--benchmark_repetitions=3), so the record
+# holds the spread and a median; a later --benchmark_repetitions in the
+# extra flags overrides it.
 #
 # The recorded JSON must come from a Release build of *our* code: the
 # script forces CMAKE_BUILD_TYPE=Release (overriding any stale cache) and
@@ -52,6 +55,7 @@ trap 'rm -f "$tmp_file"' EXIT
   --benchmark_format=json \
   --benchmark_out="$tmp_file" \
   --benchmark_out_format=json \
+  --benchmark_repetitions=3 \
   "$@"
 
 if ! grep -q '"resmodel_build_type": "release"' "$tmp_file"; then
